@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-quick bench-checkopt bench-temporal bench-prove bench-serve bench-diff ci api-smoke policy-smoke fuzz-smoke store-smoke obs-smoke prove-smoke serve-smoke serve fuzz tables profile
+.PHONY: test bench bench-quick bench-checkopt bench-temporal bench-prove bench-serve bench-diff bench-selftest ci api-smoke policy-smoke fuzz-smoke store-smoke obs-smoke prove-smoke serve-smoke serve fuzz tables profile
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -30,6 +30,9 @@ bench-serve:     ## sustained-load benchmark of the serve daemon; records BENCH_
 
 bench-diff:      ## compare the recorded BENCH_*.json reports (bench-v2 schema)
 	$(PYTHON) scripts/bench_diff.py BENCH_checkopt.json BENCH_temporal.json
+
+bench-selftest:  ## the repo benchmark's own self-test (~6 min; not part of `make ci`)
+	$(PYTHON) perfbench/selftest.py
 
 ci:              ## tier-1 tests + perf gates (wall-clock >20%, opt >5%, temporal >5%, prove >5% fail) + api/policy/fuzz/store/obs/prove/serve smoke legs
 	$(PYTHON) scripts/ci.py

@@ -64,13 +64,13 @@
 11. Serve-smoke leg: the ``repro serve`` daemon end to end — boot it
    as a subprocess (OS-assigned port, fresh store, chaos faults armed),
    assert the deterministic HTTP status mapping over clean, attack,
-   malformed, compile-error and over-budget requests, check responses
-   are bit-identical to one-shot ``repro run --json`` for every
-   registered profile, shed load 503 at the admission bound, resolve a
-   deliberately hung request 504 by deadline-kill while concurrent
-   requests are answered, survive worker SIGKILL mid-run by
-   respawn+retry, scrape ``/metrics``, and drain on SIGINT with exit
-   130.
+   malformed (including a negative Content-Length), compile-error and
+   over-budget requests, check responses are bit-identical to one-shot
+   ``repro run --json`` for every registered profile, shed load 503 at
+   the admission bound, resolve a deliberately hung request 504 by
+   deadline-kill while concurrent requests are answered, survive worker
+   SIGKILL mid-run by respawn+retry, scrape ``/metrics``, and drain on
+   SIGINT with exit 130.
 
 The wall-clock gate compares the speedup *ratio* — not absolute
 seconds — so it is stable across machines of different absolute speed;
@@ -959,6 +959,23 @@ def _serve_post(base_url, path, doc, timeout=90.0):
         return error.code, json.loads(error.read()), dict(error.headers)
 
 
+def _serve_raw(port, request):
+    """Send raw request bytes (for heads urllib will not build, such as
+    a negative Content-Length); returns ``(status, body_dict)``."""
+    import json
+    import socket
+
+    with socket.create_connection(("127.0.0.1", int(port)),
+                                  timeout=30) as conn:
+        conn.sendall(request)
+        conn.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := conn.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 def _serve_get(base_url, path):
     import json
     import urllib.request
@@ -1038,6 +1055,13 @@ def run_serve_smoke():
                     print(f"SERVE SMOKE FAILURE: {label} exit-code header "
                           f"{got_exit!r}, expected {want_exit!r}")
                     return 1
+            status, body = _serve_raw(
+                port, b"POST /run HTTP/1.1\r\nHost: localhost\r\n"
+                      b"Content-Length: -1\r\n\r\n")
+            if status != 400:
+                print(f"SERVE SMOKE FAILURE: negative Content-Length -> "
+                      f"{status}, expected 400 (body {body})")
+                return 1
             status, body, _ = _serve_post(
                 base, "/run", {"source": SERVE_SMOKE_CLEAN,
                                "profile": "spatial"})
@@ -1045,7 +1069,7 @@ def run_serve_smoke():
                 print(f"SERVE SMOKE FAILURE: clean output "
                       f"{body.get('output')!r}")
                 return 1
-            print(f"  status mapping ok ({len(drills)} families)")
+            print(f"  status mapping ok ({len(drills) + 1} families)")
 
             # 2. Responses bit-identical to one-shot CLI runs, for
             # every registered policy.

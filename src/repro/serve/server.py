@@ -275,6 +275,8 @@ class ServeDaemon:
                 length = int(headers.get("content-length", ""))
             except ValueError:
                 raise UsageError("POST requires Content-Length") from None
+            if length < 0:
+                raise UsageError(f"Content-Length {length} is negative")
             if length > MAX_BODY_BYTES:
                 raise UsageError(f"request body {length} bytes exceeds the "
                                  f"{MAX_BODY_BYTES} byte bound")
@@ -332,53 +334,56 @@ class ServeDaemon:
     async def _execute(self, path, payload):
         self.qos.admit(self.pool.queue_depth)
         started = time.monotonic()
-        span = tracer().start_span("serve.request", route=path,
-                                   program=payload["name"],
-                                   profile=payload["profile"])
-        future = self.pool.submit(payload)
-        self._inflight.add(future)
-        try:
-            outcome = await asyncio.wrap_future(future)
-        finally:
-            self._inflight.discard(future)
-        self._latency.observe(time.monotonic() - started)
-        if outcome.status == OK:
-            result = outcome.value
-            exit_code = result["cli_exit"]
-            if "error" not in result \
-                    and result["row"].get("trap") is None:
-                # Ran to completion: HTTP 200 whatever the program's own
-                # exit code was (it is in the body; the CLI passes it
-                # through as *its* exit status, which is why the status
-                # map keys on the trap, not the exit code alone).
-                status, label = 200, "ok"
-            else:
-                status = STATUS_FOR_EXIT.get(exit_code, 500)
-                label = OUTCOME_FOR_EXIT.get(exit_code, "trap")
-            self._requests(label).inc()
-            origin = result.get("origin") or (
-                (result["row"].get("cache") or {}).get("origin")
-                if "row" in result else None)
-            if origin:
-                self._origins(origin).inc()
-            span.finish(status=status, outcome=label, origin=origin,
-                        attempts=outcome.attempts)
-            headers = {"X-Repro-Exit-Code": str(exit_code),
-                       "X-Repro-Worker-Pid": str(result.get("pid", ""))}
-            if "error" in result:
-                return status, {"error": result["error"]}, headers
-            return status, result["row"], headers
-        if outcome.status == TIMEOUT:
-            self._requests("deadline").inc()
-            span.finish(status=504, outcome="deadline")
-            return 504, {"error": outcome.error}, {}
-        if outcome.status == CRASH:
-            self._requests("crash").inc()
-            span.finish(status=500, outcome="crash")
-            return 500, {"error": outcome.error}, {}
-        self._requests("error").inc()
-        span.finish(status=500, outcome="error")
-        return 500, {"error": f"worker exception: {outcome.error!r}"}, {}
+        # The span is a context manager so every exit path finishes it:
+        # a submit that raises (PoolClosed during drain) must not leave
+        # it open as the parent of every later span on this thread.
+        with tracer().start_span("serve.request", route=path,
+                                 program=payload["name"],
+                                 profile=payload["profile"]) as span:
+            future = self.pool.submit(payload)
+            self._inflight.add(future)
+            try:
+                outcome = await asyncio.wrap_future(future)
+            finally:
+                self._inflight.discard(future)
+            self._latency.observe(time.monotonic() - started)
+            if outcome.status == OK:
+                result = outcome.value
+                exit_code = result["cli_exit"]
+                if "error" not in result \
+                        and result["row"].get("trap") is None:
+                    # Ran to completion: HTTP 200 whatever the program's own
+                    # exit code was (it is in the body; the CLI passes it
+                    # through as *its* exit status, which is why the status
+                    # map keys on the trap, not the exit code alone).
+                    status, label = 200, "ok"
+                else:
+                    status = STATUS_FOR_EXIT.get(exit_code, 500)
+                    label = OUTCOME_FOR_EXIT.get(exit_code, "trap")
+                self._requests(label).inc()
+                origin = result.get("origin") or (
+                    (result["row"].get("cache") or {}).get("origin")
+                    if "row" in result else None)
+                if origin:
+                    self._origins(origin).inc()
+                span.finish(status=status, outcome=label, origin=origin,
+                            attempts=outcome.attempts)
+                headers = {"X-Repro-Exit-Code": str(exit_code),
+                           "X-Repro-Worker-Pid": str(result.get("pid", ""))}
+                if "error" in result:
+                    return status, {"error": result["error"]}, headers
+                return status, result["row"], headers
+            if outcome.status == TIMEOUT:
+                self._requests("deadline").inc()
+                span.finish(status=504, outcome="deadline")
+                return 504, {"error": outcome.error}, {}
+            if outcome.status == CRASH:
+                self._requests("crash").inc()
+                span.finish(status=500, outcome="crash")
+                return 500, {"error": outcome.error}, {}
+            self._requests("error").inc()
+            span.finish(status=500, outcome="error")
+            return 500, {"error": f"worker exception: {outcome.error!r}"}, {}
 
     # -- introspection bodies ------------------------------------------
 

@@ -23,14 +23,18 @@ Only accesses that leave every mapped segment trap (simulated SIGSEGV).
 Hot-path design: segment resolution is an address-range dispatch (the
 three data regions occupy disjoint, ordered ranges) backed by a
 last-segment cache, and the scalar codec uses pre-built
-:class:`struct.Struct` instances unpacking straight out of the segment
-``bytearray`` — no per-access linear scan, no intermediate ``bytes``
-copy.  The closure-compiled engine binds the :meth:`scalar_reader` /
-:meth:`scalar_writer` factories, which additionally keep a private
-per-closure segment cache (an instruction that repeatedly touches one
-array never re-resolves its segment).
+:class:`struct.Struct` instances unpacking straight out of the segment's
+buffer — no per-access linear scan, no intermediate ``bytes`` copy.
+Each segment's buffer is a private anonymous mapping, so the kernel
+hands out zero pages on first touch: a fresh 36 MiB address space costs
+nothing until the program uses it, and a forked child's writes stay out
+of its parent.  The closure-compiled engine binds the
+:meth:`scalar_reader` / :meth:`scalar_writer` factories, which
+additionally keep a private per-closure segment cache (an instruction
+that repeatedly touches one array never re-resolves its segment).
 """
 
+import mmap
 import struct
 
 from .errors import Trap, TrapKind
@@ -68,7 +72,7 @@ class Segment:
     def __init__(self, name, base, size):
         self.name = name
         self.base = base
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self.end = base + size
 
     def contains(self, addr, size):
@@ -248,10 +252,11 @@ class Memory:
     def read_cstring(self, addr, limit=1 << 20):
         """Read a NUL-terminated string; traps if it runs off the map.
 
-        Scans for the terminator inside each segment's ``bytearray``
-        (one ``find`` per segment) instead of one trapped read per byte;
-        behaviour — including the trap raised for unterminated or
-        unmapped strings — is identical to the byte-at-a-time loop.
+        Scans for the terminator inside each segment's private anonymous
+        mapping (one ``find`` per segment; pages are zero on first touch)
+        instead of one trapped read per byte; behaviour — including the
+        trap raised for unterminated or unmapped strings — is identical
+        to the byte-at-a-time loop.
         """
         pieces = []
         collected = 0
@@ -264,7 +269,7 @@ class Memory:
             off = cursor - segment.base
             # The terminator must appear before the limit is exhausted.
             cap = min(len(data), off + (limit - collected))
-            idx = data.find(0, off, cap)
+            idx = data.find(b"\0", off, cap)
             if idx >= 0:
                 pieces.append(bytes(data[off:idx]))
                 return b"".join(pieces)

@@ -1,20 +1,26 @@
 """HTTP front-end: request validation, the status mapping, and one
 in-process daemon drill for routing/introspection endpoints."""
 
+import asyncio
+import concurrent.futures
 import json
 import os
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.api import UsageError
+from repro.obs.trace import disable_tracing, enable_tracing
 from repro.serve.qos import DEFAULT_BUDGET, QosPolicy
 from repro.serve.server import (
     OUTCOME_FOR_EXIT,
     STATUS_FOR_EXIT,
+    ServeDaemon,
     validate_request,
 )
+from repro.serve.workers import ERROR, Outcome, PoolClosed
 
 SOURCE = "int main(void) { return 0; }"
 
@@ -115,6 +121,46 @@ class TestValidateRequest:
                              allow_test_faults=True)
 
 
+class _ClosingPool:
+    """Stands in for WarmPool: the first submit fails as a draining pool
+    does, later ones resolve at once to a worker-error outcome."""
+
+    queue_depth = 0
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, payload):
+        self.submits += 1
+        if self.submits == 1:
+            raise PoolClosed("worker pool is closed")
+        future = concurrent.futures.Future()
+        future.set_result(Outcome(ERROR, error="boom"))
+        return future
+
+
+class TestRequestSpan:
+    def test_failed_submit_does_not_parent_later_requests(self, tmp_path):
+        sink = tmp_path / "trace.jsonl"
+        daemon = ServeDaemon()
+        daemon.pool = _ClosingPool()
+        payload = validate_request({"source": SOURCE})
+        enable_tracing(sink)
+        try:
+            with pytest.raises(PoolClosed):
+                asyncio.run(daemon._execute("/run", payload))
+            status, _, _ = asyncio.run(daemon._execute("/run", payload))
+        finally:
+            disable_tracing()
+        assert status == 500
+        spans = [json.loads(line) for line in sink.read_text().splitlines()]
+        requests = [span for span in spans if span["name"] == "serve.request"]
+        assert len(requests) == 2
+        assert requests[0]["attrs"]["error"] == "PoolClosed"
+        assert "parent" not in requests[1]
+        assert requests[1]["attrs"]["outcome"] == "error"
+
+
 @pytest.mark.skipif(os.name != "posix",
                     reason="POSIX daemon integration drill")
 class TestDaemonEndToEnd:
@@ -184,6 +230,19 @@ class TestDaemonEndToEnd:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    def test_negative_content_length_is_400(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port),
+                                      timeout=30) as conn:
+            conn.sendall(b"POST /run HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            conn.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "negative" in json.loads(body)["error"]
 
     def test_unknown_path_404_and_bad_method_405(self, daemon):
         status, body, _ = self._post(daemon, "/nope", {"source": SOURCE})

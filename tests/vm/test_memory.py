@@ -1,5 +1,7 @@
 """Simulated memory unit tests."""
 
+import os
+
 import pytest
 
 from repro.vm.errors import Trap, TrapKind
@@ -170,3 +172,95 @@ def test_read_cstring_nul_at_limit_boundary_is_unterminated(mem):
     with pytest.raises(Trap):
         mem.read_cstring(addr, limit=8)
     assert mem.read_cstring(addr, limit=9) == b"C" * 8
+
+
+# -- demand-zero segments ---------------------------------------------------
+#
+# Segments are private anonymous mappings: zero on first touch, trapping at
+# the exact address past their end, and copy-on-write across fork().
+
+
+def _segments(mem):
+    return {"heap": mem.heap, "stack": mem.stack,
+            "globals": mem.map_globals(4096)}
+
+
+@pytest.mark.parametrize("name", ["heap", "stack", "globals"])
+def test_fresh_segment_reads_zero_at_both_ends(mem, name):
+    seg = _segments(mem)[name]
+    assert mem.read(seg.base, 1) == b"\x00"
+    assert mem.read(seg.end - 1, 1) == b"\x00"
+    assert mem.read_int(seg.end - 8, 8) == 0
+    assert mem.scalar_reader(8, False)(seg.base) == 0
+
+
+@pytest.mark.parametrize("name", ["heap", "stack", "globals"])
+def test_access_straddling_segment_end_traps_at_exact_address(mem, name):
+    seg = _segments(mem)[name]
+    addr = seg.end - 4
+    accesses = [
+        lambda: mem.read(addr, 8),
+        lambda: mem.write(addr, b"12345678"),
+        lambda: mem.read_int(addr, 8),
+        lambda: mem.write_int(addr, 1, 8),
+        lambda: mem.read_f64(addr),
+        lambda: mem.scalar_reader(8, False)(addr),
+        lambda: mem.scalar_writer(8)(addr, 1),
+    ]
+    for access in accesses:
+        with pytest.raises(Trap) as exc:
+            access()
+        assert exc.value.kind is TrapKind.SEGFAULT
+        assert exc.value.address == addr
+    # The in-bounds tail is still usable and untouched by the failed writes.
+    assert mem.read(addr, 4) == b"\x00" * 4
+
+
+@pytest.mark.parametrize("name", ["heap", "stack", "globals"])
+def test_read_cstring_at_segment_edges(mem, name):
+    seg = _segments(mem)[name]
+    # Untouched memory is a run of terminators: an empty string.
+    assert mem.read_cstring(seg.end - 1) == b""
+    mem.write(seg.base, b"edge")
+    assert mem.read_cstring(seg.base) == b"edge"
+    mem.write(seg.end - 3, b"xyz")
+    with pytest.raises(Trap) as exc:
+        mem.read_cstring(seg.end - 3)
+    assert exc.value.kind is TrapKind.SEGFAULT
+    assert exc.value.address == seg.end
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_segments_are_private_across_fork(mem):
+    addr = mem.malloc(16)
+    mem.write(addr, b"parent")
+    pid = os.fork()
+    if pid == 0:  # child: sees the parent's bytes, then overwrites them
+        ok = mem.read(addr, 6) == b"parent"
+        mem.write(addr, b"child!")
+        mem.write_int(mem.stack.end - 8, 7, 8)
+        os._exit(0 if ok and mem.read(addr, 6) == b"child!" else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert mem.read(addr, 6) == b"parent"
+    assert mem.read_int(mem.stack.end - 8, 8) == 0
+
+
+def _rss_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc")
+def test_fresh_default_memories_cost_no_resident_memory():
+    """50 default address spaces (36 MiB of heap and stack each) stay
+    almost entirely non-resident until touched."""
+    before = _rss_kib()
+    memories = [Memory() for _ in range(50)]
+    grown_mib = (_rss_kib() - before) / 1024
+    assert len(memories) == 50
+    assert grown_mib < 64
