@@ -9,11 +9,6 @@ archived.
 
 The pieces:
 
-* :mod:`repro.fuzz.pool` — the robustness layer: crash-isolated
-  subprocess workers with per-task wallclock timeouts, worker-death
-  detection and retry-once-with-backoff, so a hung or crashing
-  generated program becomes a ``TIMEOUT``/``CRASH`` verdict instead of
-  wedging the campaign.
 * :mod:`repro.fuzz.oracle` — the differential oracle: plans the config
   matrix for a program, executes it (in workers under instruction
   budgets), and judges transparency, detection ground truth (both
@@ -30,6 +25,12 @@ The pieces:
   ``python -m repro fuzz run`` with ``--time-budget``/``--seeds``/
   ``--resume`` and deterministic exit codes.
 
+Every program runs in a :class:`repro.pool.WorkerPool` — the robustness
+layer: crash-isolated subprocess workers with per-task wallclock
+deadlines and worker-death detection, so a hung or crashing generated
+program becomes a ``timeout``/``crash`` verdict instead of wedging the
+campaign.
+
 See ``docs/FUZZING.md`` for the campaign model, the verdict taxonomy
 and how to triage a minimized case.
 """
@@ -38,17 +39,13 @@ from .campaign import Campaign, CampaignConfig
 from .corpus import Corpus
 from .minimize import MinimizeResult, minimize
 from .oracle import ConfigMatrix, judge_program, plan_program
-from .pool import IsolatedPool, PoolTask, TaskOutcome
 
 __all__ = [
     "Campaign",
     "CampaignConfig",
     "ConfigMatrix",
     "Corpus",
-    "IsolatedPool",
     "MinimizeResult",
-    "PoolTask",
-    "TaskOutcome",
     "judge_program",
     "minimize",
     "plan_program",

@@ -21,13 +21,13 @@ import time
 from dataclasses import dataclass, field
 
 from ..obs import obs_enabled
-from ..obs.metrics import default_registry
+from ..obs.metrics import default_registry, snapshot_delta
 from ..obs.trace import tracer
+from ..pool import PoolTask, WorkerPool
 from ..workloads import randprog
 from .corpus import Corpus
 from .minimize import minimize, predicate_for
 from .oracle import ConfigMatrix, judge_program, plan_program
-from .pool import IsolatedPool, PoolTask
 
 #: Minimize at most this many discrepancies per seed — one reproducer
 #: per root cause is plenty; the rest are recorded in the checkpoint.
@@ -134,8 +134,8 @@ class Campaign:
             return (config.time_budget is not None
                     and time.monotonic() - started >= config.time_budget)
 
-        with IsolatedPool(jobs=config.jobs,
-                          task_timeout=config.task_timeout) as pool:
+        with WorkerPool(workers=config.jobs,
+                        deadline=config.task_timeout) as pool:
             if config.chaos:
                 result.chaos = self._run_chaos(pool)
                 status = "ok" if not result.chaos.get("failed") else "FAILED"
@@ -187,12 +187,7 @@ class Campaign:
                 span.finish(verdict=verdict)
 
         result.elapsed = time.monotonic() - started
-        delta = {}
-        after = self._fuzz_series(registry)
-        for key, value in after.items():
-            grown = value - before.get(key, 0)
-            if grown:
-                delta[key] = grown
+        delta = snapshot_delta(before, self._fuzz_series(registry))
         result.clean = delta.get(
             "repro_fuzz_seeds_total{verdict=clean}", 0)
         result.infra_seeds = delta.get(
@@ -254,10 +249,10 @@ class Campaign:
         kill_marker = os.path.join(marker_dir, "kill-once")
         flake_marker = os.path.join(marker_dir, "flaky-once")
         tasks = [
-            PoolTask("repro.fuzz._testhooks:hang", (3600.0,), timeout=1.5),
-            PoolTask("repro.fuzz._testhooks:kill_self_once", (kill_marker,)),
-            PoolTask("repro.fuzz._testhooks:flaky_once", (flake_marker,)),
-            PoolTask("repro.fuzz._testhooks:echo", ("alive",)),
+            PoolTask("repro.harness.faults:hang", (3600.0,), deadline=1.5),
+            PoolTask("repro.harness.faults:kill_self_once", (kill_marker,)),
+            PoolTask("repro.harness.faults:flaky_once", (flake_marker,)),
+            PoolTask("repro.harness.faults:echo", ("alive",)),
         ]
         outcomes = pool.run(tasks)
         expectations = [

@@ -135,9 +135,9 @@ def _cmd_run(args, stdout, stderr):
 
 
 def _cmd_minimize(args, stdout, stderr):
+    from ..pool import WorkerPool
     from .minimize import minimize, predicate_for
     from .oracle import Discrepancy
-    from .pool import IsolatedPool
 
     case_path = os.path.join(args.case, "case.json")
     original_path = os.path.join(args.case, "original.c")
@@ -155,8 +155,8 @@ def _cmd_minimize(args, stdout, stderr):
         policy=case.get("policy"),
         expected_class=case.get("expected_class"),
         reference_policy=case.get("reference_policy"))
-    with IsolatedPool(jobs=args.jobs,
-                      task_timeout=args.task_timeout) as pool:
+    with WorkerPool(workers=args.jobs,
+                    deadline=args.task_timeout) as pool:
         predicate = predicate_for(discrepancy, pool=pool,
                                   timeout=args.task_timeout)
         if predicate is None:

@@ -117,12 +117,12 @@ def _make_runner(pool=None, max_instructions=MINIMIZE_MAX_INSTRUCTIONS,
                               max_instructions=max_instructions)
         return run
 
-    from .pool import PoolTask
+    from ..pool import PoolTask
 
     def run(source, policy, engine, optimize):
         task = PoolTask(RUN_CALL, (source, policy, engine, optimize),
                         {"max_instructions": max_instructions},
-                        timeout=timeout)
+                        deadline=timeout)
         (outcome,) = pool.run([task])
         if outcome.status != "ok":
             return {"status": outcome.status}

@@ -21,7 +21,7 @@ deletes a check that should have fired, which surfaces here as a
 ``missed_detection`` (mutated seed, O2 ran past the defect while O0/O1
 trapped) or a per-policy ``divergence`` finding — never silently.
 
-Execution happens inside :mod:`repro.fuzz.pool` workers under a VM
+Execution happens inside :class:`repro.pool.WorkerPool` workers under a VM
 instruction budget (the cost model's ``RESOURCE_LIMIT`` trap) plus the
 pool's wallclock deadline, so the judge also sees ``timeout``/``crash``
 verdicts and turns them into findings instead of infra failures.
@@ -166,8 +166,8 @@ def run_config(source, policy, engine, optimize,
 
 def run_parallel_check(source, policies, optimize=True):
     """``Session.run_many`` serial vs two-worker batch over ``policies``
-    (executed inside a pool worker; the nested fan-out uses the harness
-    process pool)."""
+    (executed inside a pool worker; the nested fan-out starts its own
+    short-lived :class:`repro.pool.WorkerPool`)."""
     from ..api import Session
 
     items = [(name, source, name) for name in policies]
@@ -191,7 +191,7 @@ def run_parallel_check(source, policies, optimize=True):
 def plan_program(program, matrix, parallel_check=False):
     """The task plan for one program: an ordered list of
     ``(RunConfig, PoolTask)`` pairs."""
-    from .pool import PoolTask
+    from ..pool import PoolTask
 
     plan = []
     for config in matrix.configs():

@@ -1,15 +1,14 @@
-"""Process-pool fan-out for the workload×scheme evaluation matrix.
+"""Worker-pool fan-out for the workload×scheme evaluation matrix.
 
 ``python -m repro tables`` re-runs every workload under every
 configuration, plus the attack, BugBench and server sweeps — dozens of
 independent compile+run jobs that share nothing but code.  This module
-fans them out over a ``ProcessPoolExecutor`` (``--jobs N`` /
-``REPRO_JOBS``) while keeping the output *bit-identical* to a serial
-run:
+fans them out over the crash-isolated :class:`repro.pool.WorkerPool`
+(``--jobs N`` / ``REPRO_JOBS``) while keeping the output *bit-identical*
+to a serial run:
 
-* the task list is built in a fixed order and results are consumed via
-  ``Executor.map``, which preserves submission order regardless of
-  completion order — rendering never observes scheduling;
+* the task list is built in a fixed order and the pool's batch face
+  returns outcomes in that order — rendering never observes scheduling;
 * each task is a pure function of its ``(kind, name, config)``
   descriptor: workers recompute from source and return plain picklable
   results (measurements, detection tuples), which the parent uses to
@@ -21,25 +20,16 @@ run:
 Task kinds are dispatched by :func:`execute_task`; the table renderers'
 cache-seeding lives in :mod:`repro.harness.tables` (``prewarm``).
 
-Robustness: ``run_tasks`` used to inherit ``Executor.map``'s failure
-mode — a worker that hangs blocks forever, and a worker killed by the
-OS (OOM, ``kill -9``) poisons the whole pool.  It now waits on each
-task with a wallclock deadline, rebuilds the pool when a task times out
-or a worker dies, requeues the interrupted tasks (each task is charged
-at most ``retries`` extra attempts), and raises
-:class:`ParallelTaskError` naming the tasks that still failed instead
-of wedging or dying with a bare ``BrokenProcessPool``.
+Robustness is the pool's outcome rule: a task past its wallclock
+deadline is killed and not retried, a task that kills its worker or
+raises is retried once, and :func:`run_tasks` raises
+:class:`ParallelTaskError` naming every task that still failed.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor, TimeoutError
-from concurrent.futures.process import BrokenProcessPool
 
 from ..obs.metrics import default_registry
-from ..obs.trace import tracer, tracing_enabled
-
-#: First element of the envelope observed workers wrap results in.
-_OBS_MARKER = "__repro_obs__"
+from ..obs.trace import tracer
 
 #: Per-task wallclock deadline for pool fan-out; generous because
 #: matrix tasks compile + simulate whole benchmarks.  Override with
@@ -48,7 +38,7 @@ DEFAULT_TASK_TIMEOUT = 600.0
 
 
 class ParallelTaskError(RuntimeError):
-    """Raised when tasks still fail after the requeue budget.
+    """Raised when tasks still fail after the retry budget.
 
     ``failures`` is a list of ``(index, task, reason)`` tuples — the
     position in the submitted task list, the task descriptor, and a
@@ -97,13 +87,9 @@ def execute_task(task):
     if kind == "py":
         # ("py", "module:attr", *args) — a generic picklable call, for
         # tooling and the robustness tests (hooks must be importable).
-        import importlib
+        from ..pool import resolve
 
-        module_name, _, attr = task[1].partition(":")
-        target = importlib.import_module(module_name)
-        for part in attr.split("."):
-            target = getattr(target, part)
-        return target(*task[2:])
+        return resolve(task[1])(*task[2:])
     if kind == "api_run":
         from ..api.session import execute_run_request
 
@@ -135,168 +121,54 @@ def _task_label(task):
     return task[0] if isinstance(task, tuple) and task else str(task)
 
 
-def _traced_execute(task):
+def traced_execute(task):
+    """:func:`execute_task` inside a ``task.<kind>`` span (a no-op span
+    when tracing is off); the pool workers' entry point."""
     with tracer().span("task." + _task_label(task)):
         return execute_task(task)
 
 
-def _snapshot_delta(before, after):
-    """What one task added to a worker's registry.  Workers are reused
-    across tasks, so returning a raw snapshot would re-report earlier
-    tasks' counts; the delta merges cleanly."""
-    delta = {}
-    for key, value in after.items():
-        if key.endswith("_min") or key.endswith("_max"):
-            delta[key] = value
-            continue
-        grown = value - before.get(key, 0)
-        if grown:
-            delta[key] = grown
-    return delta
-
-
-def _execute_task_observed(task):
-    """Pool-worker entry when the parent has observability on: run the
-    task inside a span and envelope the result with the metrics this
-    task added, for the parent to merge."""
-    registry = default_registry()
-    before = registry.snapshot()
-    with tracer().span("task." + _task_label(task)):
-        result = execute_task(task)
-    return (_OBS_MARKER, result, _snapshot_delta(before, registry.snapshot()))
-
-
-def _unwrap(value):
-    """Merge and strip an observed worker's envelope (pass every other
-    result through untouched)."""
-    if (isinstance(value, tuple) and len(value) == 3
-            and value[0] == _OBS_MARKER):
-        default_registry().merge(value[2])
-        return value[1]
-    return value
-
-
-def _kill_pool(pool):
-    """Tear a (possibly broken) executor down hard: SIGKILL any live
-    workers, drop queued work.  Gated — executor internals differ
-    across versions and a cleanup path must never raise."""
-    try:
-        for process in list((pool._processes or {}).values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
-    except Exception:
-        pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-
-
 def run_tasks(tasks, jobs, task_timeout=None, retries=1):
-    """Execute ``tasks``, fanning out over ``jobs`` processes; the
-    result list is index-aligned with ``tasks`` (deterministic order).
+    """Execute ``tasks``, fanning out over ``jobs`` worker processes;
+    the result list is index-aligned with ``tasks`` (deterministic
+    order).
 
-    Each task is waited on with a wallclock deadline (``task_timeout``,
+    Each task attempt has a wallclock deadline (``task_timeout``,
     ``REPRO_TASK_TIMEOUT``, or :data:`DEFAULT_TASK_TIMEOUT`).  A task
-    that times out, crashes its worker, or raises is retried up to
-    ``retries`` times in a fresh pool (tasks merely interrupted by a
-    neighbour's failure are requeued without being charged); tasks
-    still failing raise :class:`ParallelTaskError` listing every
-    failure.  Serial execution (``jobs <= 1``) is untouched — failures
-    propagate raw, timeouts don't apply.
+    that crashes its worker or raises is retried up to ``retries``
+    times; one that times out is not.  Tasks still failing raise
+    :class:`ParallelTaskError` listing every failure.  Serial execution
+    (``jobs <= 1``) is untouched — failures propagate raw, timeouts
+    don't apply.  Worker metrics merge into this process's registry
+    when observability is on.
     """
+    from ..pool import CRASH, ERROR, WorkerPool
+
     tasks = list(tasks)
     registry = default_registry()
     registry.counter("repro_pool_tasks_total").inc(len(tasks))
     if jobs <= 1 or len(tasks) <= 1:
-        if tracing_enabled():
-            return [_traced_execute(task) for task in tasks]
-        return [execute_task(task) for task in tasks]
+        return [traced_execute(task) for task in tasks]
     if task_timeout is None:
         task_timeout = float(os.environ.get("REPRO_TASK_TIMEOUT",
                                             DEFAULT_TASK_TIMEOUT))
-    from ..obs import obs_enabled
-
-    observed = obs_enabled()
-    # Workers inherit the trace sink through REPRO_TRACE (exported by
-    # enable_tracing); REPRO_METRICS rides along the same way so nested
-    # runs inside workers behave as they would in the parent.  Observed
-    # workers envelope each result with the metrics the task added and
-    # the parent merges them back in — pool runs report aggregate
-    # counters instead of dropping worker stats.
-    runner = _execute_task_observed if observed else execute_task
-    env_added = observed and not os.environ.get("REPRO_METRICS")
-    if env_added:
-        os.environ["REPRO_METRICS"] = "1"
-    sentinel = object()
-    results = [sentinel] * len(tasks)
-    attempts = [0] * len(tasks)
-    failures = {}
-    pending = list(enumerate(tasks))
-    try:
-        while pending:
-            workers = min(jobs, len(pending))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            futures = [(index, task, pool.submit(runner, task))
-                       for index, task in pending]
-            pending = []
-            broken = False
-            for index, task, future in futures:
-                if broken:
-                    # The pool is gone; everything not already finished
-                    # goes back in the queue (uncharged unless it failed).
-                    if (future.done() and not future.cancelled()
-                            and future.exception() is None):
-                        results[index] = _unwrap(future.result())
-                    else:
-                        error = (future.exception()
-                                 if future.done() and not future.cancelled()
-                                 else None)
-                        if error is not None and not isinstance(
-                                error, BrokenProcessPool):
-                            _charge(index, task, error, attempts, retries,
-                                    pending, failures)
-                        else:
-                            pending.append((index, task))
-                    continue
-                try:
-                    results[index] = _unwrap(
-                        future.result(timeout=task_timeout))
-                except TimeoutError:
-                    broken = True
-                    _kill_pool(pool)
-                    registry.counter("repro_pool_rebuilds_total").inc()
-                    _charge(index, task,
-                            f"no result within {task_timeout:.0f}s",
-                            attempts, retries, pending, failures)
-                except BrokenProcessPool:
-                    broken = True
-                    _kill_pool(pool)
-                    registry.counter("repro_pool_rebuilds_total").inc()
-                    _charge(index, task, "worker process died",
-                            attempts, retries, pending, failures)
-                except Exception as error:  # task-level failure, pool fine
-                    _charge(index, task, error, attempts, retries,
-                            pending, failures)
-            if not broken:
-                pool.shutdown(wait=True)
-    finally:
-        if env_added:
-            os.environ.pop("REPRO_METRICS", None)
+    call = "repro.harness.parallel:traced_execute"
+    with WorkerPool(workers=min(jobs, len(tasks)), deadline=task_timeout,
+                    retries=retries) as pool:
+        outcomes = pool.run([(call, (task,)) for task in tasks])
+    retried = sum(outcome.attempts - 1 for outcome in outcomes)
+    if retried:
+        registry.counter("repro_pool_retries_total").inc(retried)
+    failures = []
+    for index, (task, outcome) in enumerate(zip(tasks, outcomes)):
+        if outcome.status == ERROR:
+            failures.append((index, task, outcome.error))
+        elif outcome.status == CRASH:
+            failures.append((index, task, "worker process died"))
+        elif not outcome.ok:
+            failures.append((index, task,
+                             f"no result within {task_timeout:.0f}s"))
     if failures:
-        raise ParallelTaskError(sorted(failures.values()))
-    return results
-
-
-def _charge(index, task, reason, attempts, retries, pending, failures):
-    """One failed attempt for ``task``: requeue while budget remains,
-    else record the failure."""
-    attempts[index] += 1
-    if attempts[index] <= retries:
-        default_registry().counter("repro_pool_retries_total").inc()
-        pending.append((index, task))
-    else:
-        default_registry().counter("repro_pool_failures_total").inc()
-        failures[index] = (index, task, reason)
+        registry.counter("repro_pool_failures_total").inc(len(failures))
+        raise ParallelTaskError(failures)
+    return [outcome.value for outcome in outcomes]

@@ -248,6 +248,23 @@ class MetricsRegistry:
             self._merged.clear()
 
 
+def snapshot_delta(before, after):
+    """What a registry grew by between two snapshots, as a snapshot
+    :meth:`MetricsRegistry.merge` can add (``*_min``/``*_max`` cells
+    are carried as-is).  Pool workers outlive their tasks, so a raw
+    snapshot would re-report earlier tasks' counts; the delta merges
+    cleanly."""
+    delta = {}
+    for key, value in after.items():
+        if key.endswith("_min") or key.endswith("_max"):
+            delta[key] = value
+            continue
+        grown = value - before.get(key, 0)
+        if grown:
+            delta[key] = grown
+    return delta
+
+
 def histogram_quantile(snapshot, name, quantile):
     """Estimate a quantile from a histogram's cumulative bucket series
     in a snapshot (``name_bucket{le=...}`` cells), the Prometheus

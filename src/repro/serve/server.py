@@ -1,8 +1,8 @@
 """The serve daemon's asyncio HTTP front-end.
 
 A deliberately small HTTP/1.1 server (standard library only, one
-request per connection) in front of the :class:`~repro.serve.workers.
-WarmPool`.  The wire contract:
+request per connection) in front of a warm
+:class:`~repro.pool.WorkerPool`.  The wire contract:
 
 * ``POST /run`` — compile (three-level cached) and execute the posted
   C source under a registered protection profile; the response body is
@@ -42,8 +42,9 @@ from ..api.env import resolve_engine, resolve_serve, resolve_store
 from ..api.profiles import PROFILES, UsageError
 from ..obs.metrics import default_registry, histogram_quantile
 from ..obs.trace import tracer
+from ..pool import CRASH, OK, TIMEOUT, WorkerPool
 from .qos import AdmissionError, QosPolicy
-from .workers import CRASH, OK, TIMEOUT, WarmPool
+from .workers import REQUEST_CALL, WARMUP_CALL
 
 #: Request bodies past this are rejected 413 before JSON parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -170,14 +171,19 @@ class ServeDaemon:
         self.store_dir = resolve_store(store_dir)
         self.engine = engine
         self.allow_test_faults = allow_test_faults
-        self.pool = WarmPool(workers=self.config.workers,
-                             deadline=self.qos.deadline_seconds)
+        self.pool = WorkerPool(workers=self.config.workers,
+                               deadline=self.qos.deadline_seconds,
+                               warmup=WARMUP_CALL)
         self.port = None
         self._server = None
         self._started = time.monotonic()
         self._inflight = set()
         registry = default_registry()
         self._registry = registry
+        # repro_serve_queue_depth / _inflight / _workers gauges and
+        # repro_serve_worker_{spawns,kills,respawns}_total counters.
+        registry.register_source("repro_serve_", self.pool,
+                                 WorkerPool.counters)
         self._latency = registry.histogram("repro_serve_request_seconds",
                                            buckets=_LATENCY_BUCKETS)
         self._requests = lambda outcome: registry.counter(
@@ -340,7 +346,7 @@ class ServeDaemon:
         with tracer().start_span("serve.request", route=path,
                                  program=payload["name"],
                                  profile=payload["profile"]) as span:
-            future = self.pool.submit(payload)
+            future = self.pool.submit(REQUEST_CALL, (payload,))
             self._inflight.add(future)
             try:
                 outcome = await asyncio.wrap_future(future)

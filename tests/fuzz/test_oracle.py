@@ -1,6 +1,6 @@
 """The differential oracle's judge, against fabricated run outcomes.
 
-These tests build ``TaskOutcome``-shaped results by hand so every
+These tests build ``Outcome``-shaped results by hand so every
 discrepancy kind is exercised without paying for real compiles; the
 campaign test runs the genuine end-to-end article.
 """
@@ -9,12 +9,12 @@ import pytest
 
 from repro.fuzz.oracle import (ConfigMatrix, Discrepancy, RunConfig,
                                judge_program, plan_program)
-from repro.fuzz.pool import TaskOutcome
+from repro.pool import Outcome
 from repro.workloads.randprog import generate, generate_mutated
 
 
 def ok_run(exit_code=0, output="", trap_kind=None, detected=False):
-    return TaskOutcome("ok", value={
+    return Outcome("ok", value={
         "status": "ok", "exit_code": exit_code, "output": output,
         "trap_kind": trap_kind, "trap": trap_kind, "detected": detected,
         "cost": 100,
@@ -90,7 +90,7 @@ class TestCleanJudging:
             status = next(statuses)
             results.append((config, ok_run(exit_code=0)
                             if status == "ok"
-                            else TaskOutcome(status, error=status)))
+                            else Outcome(status, error=status)))
         judgment = judge_program(program, results, MATRIX)
         kinds = sorted(d.kind for d in judgment.discrepancies)
         assert kinds == ["crash", "hang"]
@@ -106,7 +106,7 @@ class TestCleanJudging:
         program = generate(2)
         results = [(config, ok_run(exit_code=3)) for config in configs()]
         results[1] = (results[1][0],
-                      TaskOutcome("error", error=RuntimeError("flake")))
+                      Outcome("error", error=RuntimeError("flake")))
         judgment = judge_program(program, results, MATRIX)
         assert judgment.verdict == "infra"
         assert not judgment.discrepancies
@@ -115,7 +115,7 @@ class TestCleanJudging:
         program = generate(2)
         results = [(config, ok_run(exit_code=1)) for config in configs()]
         batch = RunConfig("batch", "compiled", True, kind="parallel")
-        results.append((batch, TaskOutcome("ok", value={
+        results.append((batch, Outcome("ok", value={
             "status": "ok", "trap_kind": None,
             "equal": False, "detail": "spatial: cost differs"})))
         judgment = judge_program(program, results, MATRIX)

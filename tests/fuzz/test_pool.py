@@ -5,18 +5,18 @@ import time
 
 import pytest
 
-from repro.fuzz.pool import IsolatedPool, PoolTask
+from repro.pool import PoolTask, WorkerPool
 
-ECHO = "repro.fuzz._testhooks:echo"
-HANG = "repro.fuzz._testhooks:hang"
-KILL = "repro.fuzz._testhooks:kill_self"
-KILL_ONCE = "repro.fuzz._testhooks:kill_self_once"
-FLAKY_ONCE = "repro.fuzz._testhooks:flaky_once"
+ECHO = "repro.harness.faults:echo"
+HANG = "repro.harness.faults:hang"
+KILL = "repro.harness.faults:kill_self"
+KILL_ONCE = "repro.harness.faults:kill_self_once"
+FLAKY_ONCE = "repro.harness.faults:flaky_once"
 
 
 @pytest.fixture(scope="module")
 def pool():
-    with IsolatedPool(jobs=2, task_timeout=15.0) as shared:
+    with WorkerPool(workers=2, deadline=15.0) as shared:
         yield shared
 
 
@@ -35,9 +35,9 @@ class TestHappyPath:
 
     def test_workers_stay_warm_across_runs(self, pool):
         pool.run([PoolTask(ECHO, (1,))])
-        first = [worker.proc.pid for worker in pool._workers if worker]
+        first = pool.worker_pids()
         pool.run([PoolTask(ECHO, (2,))])
-        second = [worker.proc.pid for worker in pool._workers if worker]
+        second = pool.worker_pids()
         assert set(second) <= set(first)
 
 
@@ -45,7 +45,7 @@ class TestTimeout:
     def test_hung_task_becomes_timeout_not_a_wedge(self, pool):
         started = time.monotonic()
         outcomes = pool.run([
-            PoolTask(HANG, (3600.0,), timeout=1.0),
+            PoolTask(HANG, (3600.0,), deadline=1.0),
             PoolTask(ECHO, ("still-served",)),
         ])
         assert outcomes[0].status == "timeout"
@@ -53,12 +53,12 @@ class TestTimeout:
         assert time.monotonic() - started < 10
 
     def test_timeout_is_not_retried(self, pool):
-        (outcome,) = pool.run([PoolTask(HANG, (3600.0,), timeout=0.5)])
+        (outcome,) = pool.run([PoolTask(HANG, (3600.0,), deadline=0.5)])
         assert outcome.status == "timeout"
         assert outcome.attempts == 1
 
     def test_pool_serves_after_timeout(self, pool):
-        pool.run([PoolTask(HANG, (3600.0,), timeout=0.5)])
+        pool.run([PoolTask(HANG, (3600.0,), deadline=0.5)])
         (outcome,) = pool.run([PoolTask(ECHO, ("alive",))])
         assert outcome.ok and outcome.value == "alive"
 
@@ -98,7 +98,7 @@ class TestInBandErrors:
         assert outcome.attempts == 2
 
     def test_bad_call_path_is_an_error(self, pool):
-        (outcome,) = pool.run([PoolTask("repro.fuzz._testhooks:nope")])
+        (outcome,) = pool.run([PoolTask("repro.harness.faults:nope")])
         assert outcome.status == "error"
 
 
@@ -108,16 +108,16 @@ class TestLifecycle:
         # retries on a fresh worker, and the task succeeds; the dead
         # worker is reaped (no zombie left behind).
         marker = str(tmp_path / "sigkill-marker")
-        with IsolatedPool(jobs=1, task_timeout=15.0) as mine:
+        with WorkerPool(workers=1, deadline=15.0) as mine:
             (outcome,) = mine.run([PoolTask(KILL_ONCE, (marker,))])
             assert outcome.ok and outcome.attempts == 2
             first_pid = int(open(marker).read())
             assert not _pid_alive(first_pid)
 
     def test_close_kills_workers(self):
-        mine = IsolatedPool(jobs=1, task_timeout=15.0)
+        mine = WorkerPool(workers=1, deadline=15.0)
         mine.run([PoolTask(ECHO, (1,))])
-        pid = mine._workers[0].proc.pid
+        (pid,) = mine.worker_pids()
         mine.close()
         deadline = time.monotonic() + 5
         while _pid_alive(pid) and time.monotonic() < deadline:

@@ -14,7 +14,7 @@ from repro.harness.parallel import (DEFAULT_TASK_TIMEOUT, ParallelTaskError,
                                     execute_task, run_tasks)
 
 SQRT = ("py", "math:sqrt", 4.0)
-KILL = ("py", "repro.fuzz._testhooks:kill_self")
+KILL = ("py", "repro.harness.faults:kill_self")
 
 
 class TestPyTaskKind:
@@ -71,7 +71,7 @@ class TestWorkerDeath:
         # index-aligned, with no exception.
         marker = str(tmp_path / "kill-once")
         tasks = [SQRT,
-                 ("py", "repro.fuzz._testhooks:kill_self_once", marker),
+                 ("py", "repro.harness.faults:kill_self_once", marker),
                  ("py", "math:sqrt", 25.0)]
         results = run_tasks(tasks, jobs=2, task_timeout=60.0)
         assert results == [2.0, "recovered", 5.0]
@@ -79,7 +79,7 @@ class TestWorkerDeath:
     def test_flaky_task_retried_once(self, tmp_path):
         marker = str(tmp_path / "flaky-once")
         results = run_tasks(
-            [SQRT, ("py", "repro.fuzz._testhooks:flaky_once", marker)],
+            [SQRT, ("py", "repro.harness.faults:flaky_once", marker)],
             jobs=2, task_timeout=60.0)
         assert results == [2.0, "recovered"]
 

@@ -7,8 +7,10 @@ import pytest
 from repro.harness.parallel import run_tasks
 from repro.obs import enable_metrics
 from repro.obs.metrics import default_registry
+from repro.pool import WorkerPool
 
 BUMP = ("py", "repro.harness.faults:bump_metric", 1)
+BUMP_CALL = ("repro.harness.faults:bump_metric", (1,))
 
 
 def bump_delta(before):
@@ -65,3 +67,29 @@ class TestSigkillRecovery:
         after = default_registry().snapshot()
         assert after.get("repro_pool_retries_total", 0) >= \
             snapshot_before.get("repro_pool_retries_total", 0)
+
+
+class TestOneEnvelope:
+    """Both faces of the one pool carry worker deltas home, decided per
+    frame by whether the submitting process has obs on."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with WorkerPool(workers=2, deadline=60.0) as shared:
+            yield shared
+
+    @pytest.mark.parametrize("observed, merged", [(True, 4), (False, 0)])
+    def test_batch_face(self, pool, snapshot_before, observed, merged):
+        if observed:
+            enable_metrics()
+        outcomes = pool.run([BUMP_CALL] * 4)
+        assert [outcome.value for outcome in outcomes] == [1, 1, 1, 1]
+        assert bump_delta(snapshot_before) == merged
+
+    @pytest.mark.parametrize("observed, merged", [(True, 4), (False, 0)])
+    def test_warm_face(self, pool, snapshot_before, observed, merged):
+        if observed:
+            enable_metrics()
+        futures = [pool.submit(*BUMP_CALL) for _ in range(4)]
+        assert [f.result(timeout=60).value for f in futures] == [1] * 4
+        assert bump_delta(snapshot_before) == merged

@@ -20,7 +20,7 @@ from repro.serve.server import (
     ServeDaemon,
     validate_request,
 )
-from repro.serve.workers import ERROR, Outcome, PoolClosed
+from repro.pool import ERROR, Outcome, PoolClosed
 
 SOURCE = "int main(void) { return 0; }"
 
@@ -122,7 +122,7 @@ class TestValidateRequest:
 
 
 class _ClosingPool:
-    """Stands in for WarmPool: the first submit fails as a draining pool
+    """Stands in for WorkerPool: the first submit fails as a draining pool
     does, later ones resolve at once to a worker-error outcome."""
 
     queue_depth = 0
@@ -130,7 +130,7 @@ class _ClosingPool:
     def __init__(self):
         self.submits = 0
 
-    def submit(self, payload):
+    def submit(self, call, args):
         self.submits += 1
         if self.submits == 1:
             raise PoolClosed("worker pool is closed")

@@ -6,12 +6,11 @@ import os
 import pytest
 
 from repro.api.profiles import as_profile
+from repro.pool import CRASH, OK, TIMEOUT, WorkerPool
 from repro.serve.qos import DEFAULT_BUDGET
 from repro.serve.workers import (
-    CRASH,
-    OK,
-    TIMEOUT,
-    WarmPool,
+    REQUEST_CALL,
+    WARMUP_CALL,
     compile_coalesced,
     compiled_fingerprint,
     execute_serve_request,
@@ -103,8 +102,9 @@ class TestCoalescedCompile:
 
 class TestWarmPool:
     def test_submit_resolves_ok(self):
-        with WarmPool(workers=1).start() as pool:
-            outcome = pool.submit(payload()).result(timeout=120)
+        with WorkerPool(workers=1, warmup=WARMUP_CALL).start() as pool:
+            outcome = pool.submit(REQUEST_CALL,
+                                  (payload(),)).result(timeout=120)
             assert outcome.status == OK
             assert outcome.value["row"]["output"] == "sum=10\n"
             # The work ran in the worker subprocess, not in-process.
@@ -112,8 +112,8 @@ class TestWarmPool:
             assert outcome.value["pid"] in pool.worker_pids()
 
     def test_concurrent_submissions_all_resolve(self):
-        with WarmPool(workers=2).start() as pool:
-            futures = [pool.submit(payload(name=f"r{n}"))
+        with WorkerPool(workers=2, warmup=WARMUP_CALL).start() as pool:
+            futures = [pool.submit(REQUEST_CALL, (payload(name=f"r{n}"),))
                        for n in range(6)]
             outcomes = [f.result(timeout=240) for f in futures]
             assert all(o.status == OK for o in outcomes)
@@ -121,29 +121,32 @@ class TestWarmPool:
             assert outputs == {"sum=10\n"}
 
     def test_hang_resolves_timeout_and_respawns(self):
-        with WarmPool(workers=1, deadline=3.0).start() as pool:
-            hung = pool.submit(payload(test_fault="hang"))
+        with WorkerPool(workers=1, deadline=3.0,
+                        warmup=WARMUP_CALL).start() as pool:
+            hung = pool.submit(REQUEST_CALL, (payload(test_fault="hang"),))
             outcome = hung.result(timeout=60)
             assert outcome.status == TIMEOUT
             # The pool respawned the worker: the next request succeeds.
-            healed = pool.submit(payload()).result(timeout=120)
+            healed = pool.submit(REQUEST_CALL,
+                                 (payload(),)).result(timeout=120)
             assert healed.status == OK
 
     def test_worker_death_retries_then_crash(self):
-        with WarmPool(workers=1).start() as pool:
+        with WorkerPool(workers=1, warmup=WARMUP_CALL).start() as pool:
             # The fault rides the payload, so the retry dies too:
             # after the single infra retry the outcome is CRASH.
             outcome = pool.submit(
-                payload(test_fault="exit")).result(timeout=120)
+                REQUEST_CALL, (payload(test_fault="exit"),)).result(timeout=120)
             assert outcome.status == CRASH
             assert outcome.attempts == 2
-            healed = pool.submit(payload()).result(timeout=120)
+            healed = pool.submit(REQUEST_CALL,
+                                 (payload(),)).result(timeout=120)
             assert healed.status == OK
 
     def test_closed_pool_rejects_submissions(self):
-        pool = WarmPool(workers=1).start()
+        pool = WorkerPool(workers=1, warmup=WARMUP_CALL).start()
         pool.close()
-        from repro.serve.workers import PoolClosed
+        from repro.pool import PoolClosed
 
         with pytest.raises(PoolClosed):
-            pool.submit(payload())
+            pool.submit(REQUEST_CALL, (payload(),))
