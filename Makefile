@@ -29,12 +29,12 @@ bench-serve:     ## sustained-load benchmark of the serve daemon; records BENCH_
 	$(PYTHON) benchmarks/bench_serve.py
 
 bench-diff:      ## compare the recorded BENCH_*.json reports (bench-v2 schema)
-	$(PYTHON) scripts/bench_diff.py BENCH_checkopt.json BENCH_temporal.json
+	$(PYTHON) scripts/bench_diff.py BENCH_checkopt.json BENCH_temporal.json BENCH_prove.json
 
 bench-selftest:  ## the repo benchmark's own self-test (~6 min; not part of `make ci`)
 	$(PYTHON) perfbench/selftest.py
 
-ci:              ## tier-1 tests + perf gates (wall-clock >20%, opt >5%, temporal >5%, prove >5% fail) + api/policy/fuzz/store/obs/prove/serve smoke legs
+ci:              ## tier-1 tests + one gate rule vs the recorded BENCH_*.json (wall-clock >20%, opt >5%, temporal >5%, prove >5%, obs floor 20% fail; geomean over ratios) + api/policy/fuzz/store/obs/prove/serve smoke legs
 	$(PYTHON) scripts/ci.py
 
 api-smoke:       ## one workload through every protection profile via repro.api + all examples

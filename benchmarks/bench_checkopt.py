@@ -20,7 +20,7 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.checkopt import (
+from repro.harness.overhead import (
     LOOP_WORKLOADS,
     render_checkopt,
     run_checkopt,

@@ -22,9 +22,9 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.checkopt import LOOP_WORKLOADS
-from repro.harness.prove import (
+from repro.harness.overhead import (
     LOOP_DELETION_FLOOR_PCT,
+    LOOP_WORKLOADS,
     render_prove,
     run_prove,
     write_report,

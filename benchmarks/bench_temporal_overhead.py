@@ -22,7 +22,7 @@ import sys
 
 from conftest import save_artifact
 
-from repro.harness.temporal import (
+from repro.harness.overhead import (
     render_temporal_overhead,
     run_temporal_overhead,
     write_report,

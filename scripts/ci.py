@@ -1,11 +1,21 @@
 #!/usr/bin/env python3
 """Lightweight CI gate: tier-1 tests + perf regression checks.
 
+Every regression gate below is one call to :func:`_gate`: re-measure a
+figure, rebuild the same figure from the recorded ``BENCH_*.json`` rows
+of the same workload subset (:func:`_recorded`), and fail past
+``recorded * (1 - tolerance)`` for a higher-is-better figure or
+``recorded * (1 + tolerance)`` for a lower-is-better one.  Every
+average is the one geomean definition, :func:`repro.vm.costs.geomean`
+over cost or time *ratios* (an overhead percentage ``p`` enters as the
+ratio ``1 + p/100``), and every cost-axis figure comes from the one
+memoized measurement, :func:`repro.harness.stats.measure`.
+
 1. Runs the tier-1 test suite (``pytest -x -q``).
 2. Runs the quick wall-clock benchmark subset under both engines and
    compares the geometric-mean compiled-vs-interpreter speedup against
-   the recorded baseline in ``BENCH_interp.json``.  Fails when the
-   current speedup regresses by more than ``TOLERANCE`` (20%).
+   the same subset of the recorded ``BENCH_interp.json``.  Fails when
+   the current speedup regresses by more than ``TOLERANCE`` (20%).
 3. Opt-matrix leg: re-measures the loop-workload subset with the
    loop-aware check passes off vs on (simulated cost units, fully
    deterministic) and fails when the optimized geomean instrumented
@@ -48,9 +58,10 @@
    trace (required keys, resolvable parents, toolchain-stage + VM
    spans), the check-site profiler must report bit-identical per-site
    counts on both engines with >=80% of executed metadata loads
-   attributed to source sites, and the obs-*disabled* path must keep
-   the recorded engine-speedup baseline within 2% (tolerance widened
-   to the measured sample spread on noisy hosts).
+   attributed to source sites, and the obs-*disabled* path must build
+   no profiling closures; its treeadd engine speedup is gated at the
+   perf gate's 20% floor and warns past 2% (widened to the measured
+   sample spread on noisy hosts).
 
 10. Prove-smoke leg: the ``-O2`` solver-backed check elimination end
    to end — the loop-workload corpus re-measured with the prove pass
@@ -65,8 +76,10 @@
    as a subprocess (OS-assigned port, fresh store, chaos faults armed),
    assert the deterministic HTTP status mapping over clean, attack,
    malformed (including a negative Content-Length), compile-error and
-   over-budget requests, check responses are bit-identical to one-shot
-   ``repro run --json`` for every registered profile, shed load 503 at
+   over-budget requests, 431 for too many header lines and 408 for a
+   client that goes silent mid-request, check responses are
+   bit-identical to one-shot ``repro run --json`` for every registered
+   profile, shed load 503 at
    the admission bound, resolve a deliberately hung request 504 by
    deadline-kill while concurrent requests are answered, survive worker
    SIGKILL mid-run by respawn+retry, scrape ``/metrics``, and drain on
@@ -106,6 +119,52 @@ PROVE_TOLERANCE = 0.05  # fail on >5% -O2 overhead regression
 TEMPORAL_GATE_WORKLOADS = ("go", "health", "li", "treeadd")
 
 
+def _recorded(path, row_key, names):
+    """The recorded baseline a gate compares against: the geomean of
+    ``row_key`` over the recorded rows of the workloads the gate
+    re-measures (so a subset is compared with the same subset, never
+    with the full-corpus mean), or ``None`` with no recording.
+
+    The one geomean definition applies: rows named ``*_pct`` are
+    overhead percentages, averaged as the cost ratios ``1 + pct/100``;
+    other rows (speedups) are ratios already.
+    """
+    from repro.harness.overhead import load_report
+    from repro.vm.costs import geomean
+
+    if not path.exists():
+        return None
+    rows = load_report(path)["workloads"]
+    values = [rows[name][row_key] for name in names if name in rows]
+    if not row_key.endswith("_pct"):
+        return geomean(values)
+    return (geomean(1.0 + v / 100.0 for v in values) - 1.0) * 100.0
+
+
+def _gate(label, current, recorded, tolerance, higher_is_better):
+    """The one regression gate: fail (return 1) when ``current`` falls
+    more than ``tolerance`` (relative) below ``recorded`` for a
+    higher-is-better figure, or rises more than it above for a
+    lower-is-better one.  No recording (``None``) passes."""
+    if recorded is None:
+        print(f"  no recorded baseline for {label}; current {current:.3f} "
+              f"(record one with the matching `make bench-*` target)")
+        return 0
+    if higher_is_better:
+        bound, kind = recorded * (1.0 - tolerance), "floor"
+        failed = current < bound
+    else:
+        bound, kind = recorded * (1.0 + tolerance), "ceiling"
+        failed = current > bound
+    print(f"  {label}: recorded {recorded:.3f}   current {current:.3f}   "
+          f"{kind} ({'-' if higher_is_better else '+'}{tolerance:.0%}) "
+          f"{bound:.3f}")
+    if failed:
+        print(f"REGRESSION: {label} is past the recorded baseline's {kind}")
+        return 1
+    return 0
+
+
 def run_tier1():
     print("== tier-1 tests ==", flush=True)
     env = dict(os.environ)
@@ -118,11 +177,8 @@ def run_tier1():
 
 def run_perf_gate():
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    import math
-
     from repro.harness.wallclock import (
         QUICK_WORKLOADS,
-        load_report,
         render_report,
         run_benchmarks,
     )
@@ -130,33 +186,11 @@ def run_perf_gate():
     print("\n== wall-clock perf gate (quick subset) ==", flush=True)
     report = run_benchmarks(quick=True, repeats=2)
     print(render_report(report))
-    current = report["geomean_speedup"]
-    if not BENCH_JSON.exists():
-        print(f"\nno recorded baseline at {BENCH_JSON}; "
-              f"run `make bench` to create one. Current speedup: {current:.2f}x")
-        return 0
-    # Compare like against like: the recorded full-corpus report carries
-    # per-workload speedups, so rebuild the *quick-subset* geomean from
-    # it rather than gating the 4-workload measurement against the
-    # 15-workload mean.
-    recorded_report = load_report(BENCH_JSON)
-    recorded_speedups = [
-        recorded_report["workloads"][name]["speedup"]
-        for name in QUICK_WORKLOADS
-        if name in recorded_report.get("workloads", {})
-    ]
-    if recorded_speedups:
-        recorded = math.exp(
-            sum(map(math.log, recorded_speedups)) / len(recorded_speedups))
-        basis = f"quick subset of {BENCH_JSON.name}"
-    else:
-        recorded = recorded_report["geomean_speedup"]
-        basis = f"full-corpus geomean of {BENCH_JSON.name} (no quick overlap)"
-    floor = recorded * (1.0 - TOLERANCE)
-    print(f"\nrecorded ({basis}): {recorded:.2f}x   current: {current:.2f}x   "
-          f"floor (-{TOLERANCE:.0%}): {floor:.2f}x")
-    if current < floor:
-        print("PERF REGRESSION: compiled-engine speedup fell below the floor")
+    print()
+    if _gate("compiled-vs-interp geomean speedup (quick subset)",
+             report["geomean_speedup"],
+             _recorded(BENCH_JSON, "speedup", QUICK_WORKLOADS),
+             TOLERANCE, higher_is_better=True):
         return 1
     print("perf gate ok")
     return 0
@@ -164,9 +198,8 @@ def run_perf_gate():
 
 def run_opt_matrix_gate():
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.harness.checkopt import (
+    from repro.harness.overhead import (
         LOOP_WORKLOADS,
-        load_report,
         render_checkopt,
         run_checkopt,
     )
@@ -175,20 +208,11 @@ def run_opt_matrix_gate():
           flush=True)
     report = run_checkopt(LOOP_WORKLOADS)
     print(render_checkopt(report))
-    current = report["loop_geomean_overhead_on_pct"]
-    if not CHECKOPT_JSON.exists():
-        print(f"\nno recorded baseline at {CHECKOPT_JSON}; run "
-              f"`python benchmarks/bench_checkopt.py` to create one. "
-              f"Current optimized geomean overhead: {current:.2f}%")
-        return 0
-    recorded = load_report(CHECKOPT_JSON)["loop_geomean_overhead_on_pct"]
-    ceiling = recorded * (1.0 + OPT_TOLERANCE)
-    print(f"\nrecorded optimized geomean overhead: {recorded:.2f}%   "
-          f"current: {current:.2f}%   ceiling (+{OPT_TOLERANCE:.0%}): "
-          f"{ceiling:.2f}%")
-    if current > ceiling:
-        print("OPT REGRESSION: loop-pass instrumented overhead rose above "
-              "the recorded baseline ceiling")
+    print()
+    if _gate("loop geomean overhead with loop passes on (%)",
+             report["loop_geomean_overhead_on_pct"],
+             _recorded(CHECKOPT_JSON, "overhead_on_pct", LOOP_WORKLOADS),
+             OPT_TOLERANCE, higher_is_better=False):
         return 1
     print("opt-matrix gate ok")
     return 0
@@ -196,13 +220,11 @@ def run_opt_matrix_gate():
 
 def run_temporal_gate():
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.harness.tables import render_temporal, temporal_matrix
-    from repro.harness.temporal import (
-        _geomean,
-        load_report,
+    from repro.harness.overhead import (
         render_temporal_overhead,
         run_temporal_overhead,
     )
+    from repro.harness.tables import render_temporal, temporal_matrix
 
     print("\n== temporal gate (detection all-caught + overhead ceiling) ==",
           flush=True)
@@ -217,32 +239,12 @@ def run_temporal_gate():
     report = run_temporal_overhead(TEMPORAL_GATE_WORKLOADS)
     print()
     print(render_temporal_overhead(report))
-    current = report["geomean_temporal_pct"]
-    if not TEMPORAL_JSON.exists():
-        print(f"\nno recorded baseline at {TEMPORAL_JSON}; run "
-              f"`make bench-temporal` to create one. "
-              f"Current geomean overhead: {current:.2f}%")
-        return 0
-    # Compare like against like: rebuild the gate-subset geomean from
-    # the recorded full-corpus report.
-    recorded_report = load_report(TEMPORAL_JSON)
-    recorded_rows = [
-        recorded_report["workloads"][name]["temporal_overhead_pct"]
-        for name in TEMPORAL_GATE_WORKLOADS
-        if name in recorded_report.get("workloads", {})
-    ]
-    if recorded_rows:
-        recorded = _geomean(recorded_rows)
-        basis = f"gate subset of {TEMPORAL_JSON.name}"
-    else:
-        recorded = recorded_report["geomean_temporal_pct"]
-        basis = f"full-corpus geomean of {TEMPORAL_JSON.name}"
-    ceiling = recorded * (1.0 + TEMPORAL_TOLERANCE)
-    print(f"\nrecorded ({basis}): {recorded:.2f}%   current: {current:.2f}%   "
-          f"ceiling (+{TEMPORAL_TOLERANCE:.0%}): {ceiling:.2f}%")
-    if current > ceiling:
-        print("TEMPORAL REGRESSION: spatial+temporal overhead rose above "
-              "the recorded baseline ceiling")
+    print()
+    if _gate("spatial+temporal geomean overhead (gate subset, %)",
+             report["geomean_temporal_pct"],
+             _recorded(TEMPORAL_JSON, "temporal_overhead_pct",
+                       TEMPORAL_GATE_WORKLOADS),
+             TEMPORAL_TOLERANCE, higher_is_better=False):
         return 1
     print("temporal gate ok")
     return 0
@@ -257,8 +259,7 @@ def run_prove_smoke():
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.api import compile_source
     from repro.fuzz.oracle import run_config
-    from repro.harness.checkopt import LOOP_WORKLOADS
-    from repro.harness.prove import load_report, render_prove, run_prove
+    from repro.harness.overhead import LOOP_WORKLOADS, render_prove, run_prove
     from repro.prove import replay_certificate
     from repro.workloads.programs import WORKLOADS
 
@@ -323,21 +324,10 @@ def run_prove_smoke():
 
     # 4. Overhead gate: the re-measured loop-subset -O2 geomean must
     # stay within PROVE_TOLERANCE of the recorded baseline.
-    current = report["loop_geomean_overhead_o2_pct"]
-    if not PROVE_JSON.exists():
-        print(f"\nno recorded baseline at {PROVE_JSON}; run "
-              f"`make bench-prove` to create one. Current -O2 geomean "
-              f"overhead: {current:.2f}%")
-        print("prove-smoke ok")
-        return 0
-    recorded = load_report(PROVE_JSON)["loop_geomean_overhead_o2_pct"]
-    ceiling = recorded * (1.0 + PROVE_TOLERANCE)
-    print(f"  recorded -O2 loop geomean overhead: {recorded:.2f}%   "
-          f"current: {current:.2f}%   ceiling (+{PROVE_TOLERANCE:.0%}): "
-          f"{ceiling:.2f}%")
-    if current > ceiling:
-        print("PROVE REGRESSION: -O2 instrumented overhead rose above "
-              "the recorded baseline ceiling")
+    if _gate("-O2 loop geomean overhead (%)",
+             report["loop_geomean_overhead_o2_pct"],
+             _recorded(PROVE_JSON, "overhead_o2_pct", LOOP_WORKLOADS),
+             PROVE_TOLERANCE, higher_is_better=False):
         return 1
     print("prove-smoke ok")
     return 0
@@ -468,7 +458,7 @@ def run_obs_smoke():
     import tempfile
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.harness.wallclock import load_report, run_benchmarks
+    from repro.harness.wallclock import run_benchmarks
     from repro.obs.profiler import profile_source
     from repro.workloads.programs import WORKLOADS
 
@@ -589,25 +579,17 @@ def run_obs_smoke():
     current = max(samples)
     spread = (max(samples) - min(samples)) / max(samples)
     tolerance = max(OBS_TOLERANCE, spread)
-    if not BENCH_JSON.exists():
-        print(f"  no recorded baseline at {BENCH_JSON.name}; samples "
-              f"{samples}")
-        print("obs-smoke ok")
-        return 0
-    recorded = load_report(BENCH_JSON)["workloads"]["treeadd"]["speedup"]
-    target = recorded * (1.0 - tolerance)
-    floor = recorded * (1.0 - TOLERANCE)
-    print(f"  disabled-path speedup: samples {samples} (spread "
-          f"{spread:.1%})  recorded {recorded:.2f}x  target "
-          f"(-{tolerance:.1%}): {target:.2f}x  hard floor "
-          f"(-{TOLERANCE:.0%}): {floor:.2f}x")
-    if current < floor:
+    recorded = _recorded(BENCH_JSON, "speedup", ("treeadd",))
+    print(f"  disabled-path speedup samples {samples} (spread {spread:.1%})")
+    if _gate("treeadd engine speedup, obs disabled (hard floor)", current,
+             recorded, TOLERANCE, higher_is_better=True):
         print("OBS SMOKE FAILURE: obs-disabled wallclock regressed past "
               "the hard floor")
         return 1
-    if current < target:
-        print("  warning: below the noise-adjusted 2% target (structural "
-              "gate passed; treating as host noise)")
+    if recorded is not None and current < recorded * (1.0 - tolerance):
+        print(f"  warning: below the noise-adjusted target "
+              f"(-{tolerance:.1%}; structural gate passed; treating as "
+              f"host noise)")
     print("obs-smoke ok")
     return 0
 
@@ -959,16 +941,18 @@ def _serve_post(base_url, path, doc, timeout=90.0):
         return error.code, json.loads(error.read()), dict(error.headers)
 
 
-def _serve_raw(port, request):
+def _serve_raw(port, request, shutdown=True):
     """Send raw request bytes (for heads urllib will not build, such as
-    a negative Content-Length); returns ``(status, body_dict)``."""
+    a negative Content-Length), half-closing unless ``shutdown`` is
+    false (a client gone silent); returns ``(status, body_dict)``."""
     import json
     import socket
 
     with socket.create_connection(("127.0.0.1", int(port)),
                                   timeout=30) as conn:
         conn.sendall(request)
-        conn.shutdown(socket.SHUT_WR)
+        if shutdown:
+            conn.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := conn.recv(4096):
             reply += chunk
@@ -991,6 +975,7 @@ def run_serve_smoke():
     import threading
     import time
 
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     print("\n== serve-smoke (daemon: status mapping, QoS degradation, "
           "worker recovery) ==", flush=True)
     env = dict(os.environ)
@@ -1062,6 +1047,23 @@ def run_serve_smoke():
                 print(f"SERVE SMOKE FAILURE: negative Content-Length -> "
                       f"{status}, expected 400 (body {body})")
                 return 1
+            from repro.serve.server import MAX_HEADERS
+
+            # One header line past the bound -> 431; a client that goes
+            # silent mid-head -> 408 once the read deadline (10 s) passes.
+            raw_drills = [
+                ("too many headers", b"GET /healthz HTTP/1.1\r\n"
+                 + b"X-Filler: x\r\n" * (MAX_HEADERS + 1) + b"\r\n",
+                 True, 431),
+                ("silent client", b"GET /healthz HTTP/1.1\r\n", False,
+                 408),
+            ]
+            for label, request, shutdown, want_status in raw_drills:
+                status, body = _serve_raw(port, request, shutdown)
+                if status != want_status:
+                    print(f"SERVE SMOKE FAILURE: {label} -> {status}, "
+                          f"expected {want_status} (body {body})")
+                    return 1
             status, body, _ = _serve_post(
                 base, "/run", {"source": SERVE_SMOKE_CLEAN,
                                "profile": "spatial"})
@@ -1069,7 +1071,8 @@ def run_serve_smoke():
                 print(f"SERVE SMOKE FAILURE: clean output "
                       f"{body.get('output')!r}")
                 return 1
-            print(f"  status mapping ok ({len(drills) + 1} families)")
+            print(f"  status mapping ok "
+                  f"({len(drills) + 1 + len(raw_drills)} families)")
 
             # 2. Responses bit-identical to one-shot CLI runs, for
             # every registered policy.

@@ -29,9 +29,6 @@ Quickstart::
     report = session.run(C_SOURCE, profile="spatial")
     if report.detected_violation:
         print("stopped:", report.trap)
-
-The legacy ``repro.compile_program``/``compile_and_run`` entry points
-remain as byte-identical shims over this facade.
 """
 
 from .env import (

@@ -11,9 +11,9 @@ statistics, and host wallclock.  Reports are plain picklable dataclasses
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
+from ..vm.costs import geomean
 from ..vm.errors import ATTACK_EXIT_CODE, TrapKind
 
 
@@ -146,10 +146,9 @@ class BatchReport:
 
     @property
     def geomean(self):
-        values = [max(r.cost, 1) for r in self.reports.values()]
-        if not values:
+        if not self.reports:
             return 0.0
-        return math.exp(sum(map(math.log, values)) / len(values))
+        return geomean(max(r.cost, 1) for r in self.reports.values())
 
     def to_json(self):
         return {
@@ -163,10 +162,9 @@ class BatchReport:
         }
 
     def write(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
+        from ..harness.overhead import write_report
+
+        return write_report(self.to_json(), path)
 
 
 def report_from_result(result, name, profile, engine, compiled=None,

@@ -1,1 +1,1 @@
-"""Experiment harness: pipeline driver, statistics, table/figure generators."""
+"""Experiment harness: cost-axis measurement, recorded overhead sweeps, table/figure generators."""

@@ -11,13 +11,13 @@ engine-vs-engine speedup whose geometric mean the perf gate tracks.
 
 ``benchmarks/bench_wallclock.py`` and ``python -m repro bench`` are thin
 wrappers; results are recorded in ``BENCH_interp.json`` at the repo
-root so the perf trajectory is visible PR over PR and CI can fail on
-regressions.
+root (:func:`repro.harness.overhead.write_report`) so the perf
+trajectory is visible PR over PR and CI can fail on regressions.
 """
 
-import json
-import math
 import time
+
+from ..vm.costs import geomean
 
 #: Subset used by CI and ``--quick``: two scalar-heavy and two
 #: pointer/call-heavy workloads, the extremes of the engine's fast paths.
@@ -56,7 +56,6 @@ def run_benchmarks(names=None, repeats=2, quick=False):
     if names is None:
         names = tuple(QUICK_WORKLOADS) if quick else tuple(WORKLOADS)
     workloads = {}
-    speedups = []
     for name in names:
         workload = WORKLOADS[name]
         compiled = compile_source(workload.source)
@@ -79,9 +78,8 @@ def run_benchmarks(names=None, repeats=2, quick=False):
         # BENCH_*.json carries workloads/{name}/value, metric, geomean
         # and config — diffable by scripts/bench_diff.py).
         entry["value"] = entry["speedup"]
-        speedups.append(entry["speedup"])
         workloads[name] = entry
-    geomean = math.exp(sum(map(math.log, speedups)) / len(speedups))
+    speedup = geomean(entry["speedup"] for entry in workloads.values())
     return {
         "schema": "bench-v2",
         "benchmark": "vm-engine-wallclock",
@@ -92,8 +90,8 @@ def run_benchmarks(names=None, repeats=2, quick=False):
         "repeats": repeats,
         "quick": bool(quick),
         "workloads": workloads,
-        "geomean": round(geomean, 3),
-        "geomean_speedup": round(geomean, 3),
+        "geomean": round(speedup, 3),
+        "geomean_speedup": round(speedup, 3),
     }
 
 
@@ -114,14 +112,3 @@ def render_report(report):
     lines.append(f"geometric-mean speedup: {report['geomean_speedup']:.2f}x")
     return "\n".join(lines)
 
-
-def write_report(report, path):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_report(path):
-    with open(path) as handle:
-        return json.load(handle)

@@ -21,11 +21,15 @@ shear.  When disabled, :func:`tracer` returns a shared null object
 whose ``span``/``start_span`` hand back no-op spans: the cost at an
 instrumented call site is one method call, no allocation.
 
-Nesting is tracked per-thread; ``span()`` is a context manager,
+Nesting follows the current span of the execution context (a
+:mod:`contextvars` variable), so it is per thread *and* per asyncio
+task: concurrent requests served from one event loop are sibling
+roots, not each other's children.  ``span()`` is a context manager,
 ``start_span``/``finish`` the explicit form for spans that outlive a
 scope (parallel task lifetimes).
 """
 
+import contextvars
 import json
 import os
 import threading
@@ -68,19 +72,35 @@ class _NullTracer:
 NULL_TRACER = _NullTracer()
 
 
+#: The innermost open span of the running context (thread or task).
+_CURRENT = contextvars.ContextVar("repro_trace_span", default=None)
+
+
+def _open(span):
+    """``span`` or its nearest still-open ancestor (spans may finish
+    out of order)."""
+    while span is not None and span._done:
+        span = span.parent
+    return span
+
+
 class Span:
-    __slots__ = ("tracer", "name", "span_id", "parent_id", "ts",
+    __slots__ = ("tracer", "name", "span_id", "parent", "ts",
                  "attrs", "_t0", "_done")
 
-    def __init__(self, tracer, name, span_id, parent_id, attrs):
+    def __init__(self, tracer, name, span_id, parent, attrs):
         self.tracer = tracer
         self.name = name
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent = parent
         self.attrs = attrs
         self.ts = time.time()
         self._t0 = time.perf_counter()
         self._done = False
+
+    @property
+    def parent_id(self):
+        return self.parent.span_id if self.parent is not None else None
 
     def set(self, **attrs):
         self.attrs.update(attrs)
@@ -105,7 +125,7 @@ class Span:
 
 
 class Tracer:
-    """JSON-lines span emitter with per-thread nesting."""
+    """JSON-lines span emitter with per-context nesting."""
 
     enabled = True
 
@@ -115,7 +135,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._seq = 0
         self._pid = os.getpid()
-        self._stack = threading.local()
         self._summary = {}
 
     def _next_id(self):
@@ -123,28 +142,23 @@ class Tracer:
             self._seq += 1
             return "%d:%d" % (self._pid, self._seq)
 
-    def _current(self):
-        stack = getattr(self._stack, "spans", None)
-        if stack is None:
-            stack = self._stack.spans = []
-        return stack
-
     def start_span(self, name, **attrs):
-        stack = self._current()
-        parent = stack[-1].span_id if stack else None
+        parent = _open(_CURRENT.get())
+        if parent is not None and parent.tracer is not self:
+            parent = None
         span = Span(self, name, self._next_id(), parent, attrs)
-        stack.append(span)
+        _CURRENT.set(span)
         return span
 
     def span(self, name, **attrs):
         return self.start_span(name, **attrs)
 
     def _finish(self, span, dur):
-        stack = self._current()
-        # Out-of-order finishes (explicit start_span held across scopes)
-        # just remove the span wherever it sits.
-        if span in stack:
-            stack.remove(span)
+        # An out-of-order finish (explicit start_span held across
+        # scopes) leaves the context's current span alone; ``_open``
+        # skips it once it is done.
+        if _CURRENT.get() is span:
+            _CURRENT.set(_open(span.parent))
         line = {
             "name": span.name,
             "span": span.span_id,

@@ -46,8 +46,16 @@ from ..pool import CRASH, OK, TIMEOUT, WorkerPool
 from .qos import AdmissionError, QosPolicy
 from .workers import REQUEST_CALL, WARMUP_CALL
 
-#: Request bodies past this are rejected 413 before JSON parsing.
+#: Request bodies past this are rejected 400 before they are read.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Request heads with more header lines than this are rejected 431.
+MAX_HEADERS = 100
+
+#: The request line, headers and body must all arrive within this many
+#: seconds of the connection opening, else the request is answered 408
+#: (one silent client must not hold a coroutine forever).
+READ_TIMEOUT_SECONDS = 10.0
 
 #: CLI exit code → HTTP status (the deterministic mapping; see module
 #: docstring for the rationale per row).
@@ -63,6 +71,15 @@ REQUEST_FIELDS = frozenset((
     "name", "source", "profile", "opt", "input", "input_b64", "entry",
     "engine", "budget", "temporal", "test_fault",
 ))
+
+class RequestReadError(Exception):
+    """A request the front-end could not read, with its HTTP status
+    (408 read deadline, 431 too many headers)."""
+
+    def __init__(self, status, message):
+        super().__init__(message)
+        self.status = status
+
 
 _LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
                     1.0, 2.5, 5.0, 10.0, 30.0)
@@ -246,6 +263,8 @@ class ServeDaemon:
                 status, body, headers = await self._dispatch(reader)
             except UsageError as error:
                 status, body, headers = 400, {"error": str(error)}, {}
+            except RequestReadError as error:
+                status, body, headers = error.status, {"error": str(error)}, {}
             except AdmissionError as error:
                 status, body = 503, {"error": str(error)}
                 headers = {"Retry-After": "1"}
@@ -261,6 +280,15 @@ class ServeDaemon:
                 pass
 
     async def _read_request(self, reader):
+        try:
+            async with asyncio.timeout(READ_TIMEOUT_SECONDS):
+                return await self._read_request_bytes(reader)
+        except TimeoutError:
+            raise RequestReadError(
+                408, f"request not received within "
+                     f"{READ_TIMEOUT_SECONDS:g} s") from None
+
+    async def _read_request_bytes(self, reader):
         request_line = await reader.readline()
         if not request_line:
             raise UsageError("empty request")
@@ -269,12 +297,15 @@ class ServeDaemon:
             raise UsageError("malformed request line")
         method, target, _version = parts
         headers = {}
-        while True:
+        for _ in range(MAX_HEADERS + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise RequestReadError(
+                431, f"more than {MAX_HEADERS} request header lines")
         body = b""
         if method == "POST":
             try:
@@ -292,7 +323,9 @@ class ServeDaemon:
     async def _write_response(self, writer, status, body, headers=None):
         reason = {200: "OK", 400: "Bad Request", 403: "Forbidden",
                   404: "Not Found", 405: "Method Not Allowed",
-                  422: "Unprocessable Entity", 500: "Internal Server Error",
+                  408: "Request Timeout", 422: "Unprocessable Entity",
+                  431: "Request Header Fields Too Large",
+                  500: "Internal Server Error",
                   503: "Service Unavailable",
                   504: "Gateway Timeout"}.get(status, "Response")
         blob = json.dumps(body, sort_keys=True).encode("utf-8") + b"\n"

@@ -15,6 +15,7 @@ pin the *relative* ordering the paper's Figure 2 depends on
 (hash > shadow, full > store-only).
 """
 
+import math
 from dataclasses import dataclass, field
 
 # Base IR operation costs (approximate x86 instructions, memory ops
@@ -196,3 +197,18 @@ def overhead_percent(baseline_cost, instrumented_cost):
     if baseline_cost == 0:
         return 0.0
     return (instrumented_cost / baseline_cost - 1.0) * 100.0
+
+
+def geomean(ratios):
+    """The repo's one average of cost or time *ratios* (each > 0):
+    their geometric mean, ``exp(mean(log r))``.
+
+    Overheads are averaged as ratios ``cost(instrumented) /
+    cost(baseline)`` and only then read as a percentage, never as a
+    geomean of percentages: a workload with exactly 0% overhead is the
+    ratio 1.0 and averages exactly.  No ratios average to 1.0.
+    """
+    ratios = list(ratios)
+    if not ratios:
+        return 1.0
+    return math.exp(sum(map(math.log, ratios)) / len(ratios))

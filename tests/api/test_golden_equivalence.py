@@ -1,15 +1,14 @@
-"""Golden equivalence: the legacy shims and the facade are one path.
+"""Golden equivalence: every way into the toolchain is one path.
 
-``compile_and_run``/``compile_program`` must stay byte-identical to the
-:class:`repro.api.Session` path for every registered profile, and the
-rendered tables (which now execute through the facade) must agree with
-results recomputed through the legacy shim.
+A one-shot ``compile_source(source, config).run()`` must stay
+byte-identical to the :class:`repro.api.Session` path for every
+registered profile, and the rendered tables must agree with results
+recomputed through a one-shot compile.
 """
 
 import pytest
 
-from repro.api import PROFILES, Session, all_profiles
-from repro.harness.driver import compile_and_run
+from repro.api import PROFILES, Session, all_profiles, compile_source
 
 CLEAN = r'''
 int main(void) {
@@ -31,31 +30,33 @@ int main(void) {
 '''
 
 
-def _legacy(source, profile):
-    return compile_and_run(source, softbound=profile.config,
-                           observers=profile.make_observers())
+def _one_shot(source, profile):
+    """The raw-config compile plus per-run observers, bypassing the
+    Session cache and the registered profile lookup."""
+    return compile_source(source, profile.config).run(
+        observers=profile.make_observers())
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=lambda p: p.name)
 def test_shim_equals_session_on_clean_program(profile):
-    legacy = _legacy(CLEAN, profile)
+    one_shot = _one_shot(CLEAN, profile)
     facade = Session().run(CLEAN, profile=profile)
-    assert facade.exit_code == legacy.exit_code
-    assert facade.output == legacy.output
-    assert str(facade.trap) == str(legacy.trap)
-    assert facade.stats.cost == legacy.stats.cost
-    assert facade.stats.checks == legacy.stats.checks
-    assert facade.stats.metadata_loads == legacy.stats.metadata_loads
+    assert facade.exit_code == one_shot.exit_code
+    assert facade.output == one_shot.output
+    assert str(facade.trap) == str(one_shot.trap)
+    assert facade.stats.cost == one_shot.stats.cost
+    assert facade.stats.checks == one_shot.stats.checks
+    assert facade.stats.metadata_loads == one_shot.stats.metadata_loads
 
 
 @pytest.mark.parametrize("profile", all_profiles(), ids=lambda p: p.name)
 def test_shim_equals_session_on_overflow(profile):
-    legacy = _legacy(OVERFLOW, profile)
+    one_shot = _one_shot(OVERFLOW, profile)
     facade = Session().run(OVERFLOW, profile=profile)
-    assert facade.exit_code == legacy.exit_code
-    assert str(facade.trap) == str(legacy.trap)
-    assert facade.detected_violation == legacy.detected_violation
-    assert facade.stats.cost == legacy.stats.cost
+    assert facade.exit_code == one_shot.exit_code
+    assert str(facade.trap) == str(one_shot.trap)
+    assert facade.detected_violation == one_shot.detected_violation
+    assert facade.stats.cost == one_shot.stats.cost
 
 
 class TestTablesRideTheFacade:
@@ -65,9 +66,9 @@ class TestTablesRideTheFacade:
         from repro.workloads.attacks import all_attacks
 
         attack = next(iter(all_attacks()))
-        plain = compile_and_run(attack.source)
-        full = compile_and_run(attack.source, softbound=FULL_SHADOW)
-        store = compile_and_run(attack.source, softbound=STORE_SHADOW)
+        plain = compile_source(attack.source).run()
+        full = compile_source(attack.source, FULL_SHADOW).run()
+        store = compile_source(attack.source, STORE_SHADOW).run()
         assert attack_detection(attack.name) == (
             plain.attack_succeeded, full.detected_violation,
             store.detected_violation)
@@ -80,8 +81,8 @@ class TestTablesRideTheFacade:
 
         name = "uaf_read"
         attack = TEMPORAL_ATTACKS[name]
-        plain = compile_and_run(attack.source)
-        temporal = compile_and_run(attack.source, softbound=TEMPORAL_SHADOW)
+        plain = compile_source(attack.source).run()
+        temporal = compile_source(attack.source, TEMPORAL_SHADOW).run()
         exploited, _, detected = temporal_detection(name)
         assert exploited == bool(plain.attack_succeeded)
         assert detected == (temporal.trap is not None
@@ -91,7 +92,7 @@ class TestTablesRideTheFacade:
     def test_temporal_paper_block_is_policy_layer_invariant(self):
         """The lock-and-key rows of the temporal table are produced
         through the policy layer now; their content must still equal a
-        recomputation through the legacy shim for every attack, and any
+        recomputation through a one-shot compile for every attack, and any
         extension-policy rows must render strictly *below* the paper
         block (pre-existing output stays a byte-identical prefix)."""
         from repro.harness.tables import render_temporal, temporal_matrix
@@ -105,10 +106,10 @@ class TestTablesRideTheFacade:
             assert any(line.startswith(name)
                        for line in paper_block.splitlines())
         for name, (_, _, detected) in temporal_matrix().items():
-            legacy = compile_and_run(TEMPORAL_ATTACKS[name].source,
-                                     softbound=TEMPORAL_SHADOW)
-            assert detected == (legacy.trap is not None
-                                and legacy.trap.kind
+            one_shot = compile_source(TEMPORAL_ATTACKS[name].source,
+                                    TEMPORAL_SHADOW).run()
+            assert detected == (one_shot.trap is not None
+                                and one_shot.trap.kind
                                 is TrapKind.TEMPORAL_VIOLATION)
 
     def test_capability_paper_rows_are_policy_layer_invariant(self):

@@ -80,17 +80,18 @@ class TestArtifacts:
 
 class TestEquivalenceWithLegacyDriver:
     def test_compile_source_matches_compile_program(self):
-        from repro.harness.driver import compile_program
+        """A raw SoftBoundConfig builds exactly what the registered
+        profile of the same config builds."""
         from repro.softbound.config import FULL_SHADOW
 
-        legacy = compile_program(PROGRAM, softbound=FULL_SHADOW)
+        raw = compile_source(PROGRAM, profile=FULL_SHADOW)
         facade = compile_source(PROGRAM, profile="spatial")
-        assert legacy.pass_stats == facade.pass_stats
-        assert legacy.check_opt_stats == facade.check_opt_stats
-        legacy_result = legacy.run()
+        assert raw.pass_stats == facade.pass_stats
+        assert raw.check_opt_stats == facade.check_opt_stats
+        raw_result = raw.run()
         facade_result = facade.run()
-        assert legacy_result.exit_code == facade_result.exit_code
-        assert legacy_result.stats.cost == facade_result.stats.cost
+        assert raw_result.exit_code == facade_result.exit_code
+        assert raw_result.stats.cost == facade_result.stats.cost
 
     def test_unit_mode_matches_legacy_compile_module(self):
         from repro.harness.linker import compile_module

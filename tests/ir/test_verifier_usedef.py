@@ -3,7 +3,7 @@ closure-compiled engine relies on for direct ``frame.regs`` access)."""
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.ir import instructions as ins
 from repro.ir.irtypes import I32
 from repro.ir.module import Function
@@ -109,7 +109,7 @@ def test_unreachable_block_reads_are_not_flagged():
 
 def test_param_registers_count_as_defined():
     source = "int id(int x) { return x; } int main(void) { return id(9); }"
-    assert compile_and_run(source).exit_code == 9
+    assert compile_source(source).run().exit_code == 9
 
 
 def test_uninitialized_local_still_reads_zero_end_to_end():
@@ -124,8 +124,8 @@ def test_uninitialized_local_still_reads_zero_end_to_end():
         return x;    /* read of x on the never-stored path */
     }
     '''
-    result = compile_and_run(source)
+    result = compile_source(source).run()
     assert result.trap is None
     assert result.exit_code == 0
     for engine in ("interp", "compiled"):
-        assert compile_and_run(source, engine=engine).exit_code == 0
+        assert compile_source(source).run(engine=engine).exit_code == 0

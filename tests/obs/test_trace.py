@@ -1,8 +1,10 @@
 """Tracer semantics: JSON-lines schema, span nesting and ordering,
 summaries, and the disabled null-object path."""
 
+import asyncio
 import json
 import os
+import threading
 
 import pytest
 
@@ -102,6 +104,79 @@ class TestNesting:
         held.finish()
         child_line, _ = read_lines(sink)
         assert child_line["parent"] == held.span_id
+
+    def test_out_of_order_finish_leaves_no_stale_parent(self, sink):
+        outer = tracer().start_span("outer")
+        inner = tracer().start_span("inner")
+        outer.finish()
+        inner.finish()
+        with tracer().span("after"):
+            pass
+        assert "parent" not in read_lines(sink)[-1]
+
+
+class TestConcurrency:
+    """Nesting follows the running context: concurrent asyncio tasks on
+    one thread are independent, and so are threads."""
+
+    def test_concurrent_asyncio_spans_are_roots(self, sink):
+        async def request(index):
+            with tracer().span("serve.request", index=index):
+                await asyncio.sleep(0.01)
+                with tracer().span("serve.compile"):
+                    await asyncio.sleep(0)
+
+        async def main():
+            await asyncio.gather(*(request(i) for i in range(3)))
+
+        asyncio.run(main())
+        lines = read_lines(sink)
+        requests = {line["span"]: line for line in lines
+                    if line["name"] == "serve.request"}
+        assert len(requests) == 3
+        assert all("parent" not in line for line in requests.values())
+        compiles = [line for line in lines if line["name"] == "serve.compile"]
+        assert len(compiles) == 3
+        # Each nested span parents to its own task's request.
+        assert {line["parent"] for line in compiles} == set(requests)
+        for line in compiles:
+            assert line["ts"] >= requests[line["parent"]]["ts"]
+
+    def test_task_inherits_the_span_open_at_creation(self, sink):
+        async def child():
+            with tracer().span("child"):
+                pass
+
+        async def main():
+            with tracer().span("parent") as parent:
+                await asyncio.create_task(child())
+            return parent.span_id
+
+        parent_id = asyncio.run(main())
+        child_line = read_lines(sink)[0]
+        assert child_line["parent"] == parent_id
+
+    def test_threads_nest_independently(self, sink):
+        started = threading.Barrier(2)
+
+        def work(name):
+            with tracer().span(name):
+                started.wait(timeout=5)
+                with tracer().span(name + ".inner"):
+                    pass
+
+        with tracer().span("main"):
+            threads = [threading.Thread(target=work, args=(f"t{i}",))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        lines = {line["name"]: line for line in read_lines(sink)}
+        assert "parent" not in lines["t0"] and "parent" not in lines["t1"]
+        assert lines["t0.inner"]["parent"] == lines["t0"]["span"]
+        assert lines["t1.inner"]["parent"] == lines["t1"]["span"]
+        assert "parent" not in lines["main"]
 
 
 class TestAttrs:

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW
 
 RAW = replace(FULL_SHADOW, optimize_checks=False)
@@ -33,23 +33,23 @@ class TestCrossBlockDedup:
     """
 
     def test_dominated_reload_is_deduplicated(self):
-        with_opt = compile_program(self.SOURCE, softbound=FULL_SHADOW)
-        without = compile_program(self.SOURCE, softbound=RAW)
+        with_opt = compile_source(self.SOURCE, profile=FULL_SHADOW)
+        without = compile_source(self.SOURCE, profile=RAW)
         # `pick` holds the dominating load of pp's slot plus dominated
         # reloads in both arms; dedup leaves strictly fewer.
         assert static_meta_loads(with_opt, "_sb_pick") \
             < static_meta_loads(without, "_sb_pick")
 
     def test_behaviour_and_result_unchanged(self):
-        a = compile_and_run(self.SOURCE, softbound=RAW)
-        b = compile_and_run(self.SOURCE, softbound=FULL_SHADOW)
+        a = compile_source(self.SOURCE, profile=RAW).run()
+        b = compile_source(self.SOURCE, profile=FULL_SHADOW).run()
         assert a.trap is None and b.trap is None
         assert a.exit_code == b.exit_code == 42
         assert b.stats.metadata_loads <= a.stats.metadata_loads
 
     def test_dynamic_metadata_loads_drop(self):
-        a = compile_and_run(self.SOURCE, softbound=RAW)
-        b = compile_and_run(self.SOURCE, softbound=FULL_SHADOW)
+        a = compile_source(self.SOURCE, profile=RAW).run()
+        b = compile_source(self.SOURCE, profile=FULL_SHADOW).run()
         assert b.stats.metadata_loads < a.stats.metadata_loads
 
 
@@ -70,7 +70,7 @@ class TestTableWriteBarriers:
             return use(&p);
         }
         """
-        compiled = compile_program(source, softbound=FULL_SHADOW)
+        compiled = compile_source(source, profile=FULL_SHADOW)
         result = compiled.run()
         assert result.trap is None
         # Both loads of pp's slot remain: a call sits between them.
@@ -91,6 +91,6 @@ class TestTableWriteBarriers:
             return q[3];
         }
         """
-        result = compile_and_run(source, softbound=FULL_SHADOW)
+        result = compile_source(source, profile=FULL_SHADOW).run()
         assert result.trap is None
         assert result.exit_code == 9

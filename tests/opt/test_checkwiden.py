@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW
 
 RAW = replace(FULL_SHADOW, optimize_checks=False)
@@ -26,8 +26,8 @@ def slow_blocks(compiled, fname="_sb_main"):
 
 class TestFastPath:
     def test_in_bounds_walk_runs_check_free(self):
-        slow = compile_and_run(ARRAY_WALK, softbound=NO_LOOP)
-        fast = compile_and_run(ARRAY_WALK, softbound=FULL_SHADOW)
+        slow = compile_source(ARRAY_WALK, profile=NO_LOOP).run()
+        fast = compile_source(ARRAY_WALK, profile=FULL_SHADOW).run()
         assert slow.exit_code == fast.exit_code
         assert slow.output == fast.output
         assert fast.trap is None
@@ -38,7 +38,7 @@ class TestFastPath:
         assert fast.stats.cost < slow.stats.cost
 
     def test_loop_is_versioned_not_stripped(self):
-        compiled = compile_program(ARRAY_WALK, softbound=FULL_SHADOW)
+        compiled = compile_source(ARRAY_WALK, profile=FULL_SHADOW)
         labels = slow_blocks(compiled)
         assert labels, "expected slow-path clones of the widened loops"
         assert compiled.check_opt_stats.widened_loops >= 2
@@ -63,8 +63,8 @@ class TestFastPath:
             return sum(a, 64);
         }
         """
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
-        slow = compile_and_run(source, softbound=NO_LOOP)
+        fast = compile_source(source, profile=FULL_SHADOW).run()
+        slow = compile_source(source, profile=NO_LOOP).run()
         assert fast.exit_code == slow.exit_code == 64
         assert fast.stats.checks < slow.stats.checks
 
@@ -78,8 +78,8 @@ class TestFastPath:
             return (int)(s & 0x7f);
         }
         """
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
-        slow = compile_and_run(source, softbound=NO_LOOP)
+        fast = compile_source(source, profile=FULL_SHADOW).run()
+        slow = compile_source(source, profile=NO_LOOP).run()
         assert fast.exit_code == slow.exit_code
         assert fast.trap is None
         assert fast.stats.checks < slow.stats.checks
@@ -95,8 +95,8 @@ class TestFastPath:
             return s & 0xff;
         }
         """
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
-        slow = compile_and_run(source, softbound=NO_LOOP)
+        fast = compile_source(source, profile=FULL_SHADOW).run()
+        slow = compile_source(source, profile=NO_LOOP).run()
         assert fast.exit_code == slow.exit_code
         assert fast.trap is None
         assert fast.stats.checks < slow.stats.checks
@@ -112,8 +112,8 @@ class TestFastPath:
             return s & 0xff;
         }
         """
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
-        slow = compile_and_run(source, softbound=NO_LOOP)
+        fast = compile_source(source, profile=FULL_SHADOW).run()
+        slow = compile_source(source, profile=NO_LOOP).run()
         assert fast.exit_code == slow.exit_code
         assert fast.output == slow.output
         assert fast.stats.checks < slow.stats.checks
@@ -129,8 +129,8 @@ class TestTrapEquivalence:
     """
 
     def test_overflowing_walk_takes_the_slow_path(self):
-        raw = compile_and_run(self.OVERFLOW, softbound=RAW)
-        fast = compile_and_run(self.OVERFLOW, softbound=FULL_SHADOW)
+        raw = compile_source(self.OVERFLOW, profile=RAW).run()
+        fast = compile_source(self.OVERFLOW, profile=FULL_SHADOW).run()
         assert raw.trap is not None and fast.trap is not None
         assert raw.trap.kind == fast.trap.kind
         assert raw.trap.address == fast.trap.address
@@ -150,8 +150,8 @@ class TestTrapEquivalence:
             return 0;
         }
         """
-        raw = compile_and_run(source, softbound=RAW)
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
+        raw = compile_source(source, profile=RAW).run()
+        fast = compile_source(source, profile=FULL_SHADOW).run()
         assert raw.trap is not None and fast.trap is not None
         assert raw.output == fast.output  # 5 chars: trap mid-iteration 4
         assert raw.trap.address == fast.trap.address
@@ -171,8 +171,8 @@ class TestTrapEquivalence:
             return s & 1;
         }
         """
-        raw = compile_and_run(source, softbound=RAW)
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
+        raw = compile_source(source, profile=RAW).run()
+        fast = compile_source(source, profile=FULL_SHADOW).run()
         assert raw.trap is not None and fast.trap is not None
         assert raw.trap.kind == fast.trap.kind
         assert raw.trap.address == fast.trap.address
@@ -186,8 +186,8 @@ class TestTrapEquivalence:
             return 7;
         }
         """
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
-        raw = compile_and_run(source, softbound=RAW)
+        fast = compile_source(source, profile=FULL_SHADOW).run()
+        raw = compile_source(source, profile=RAW).run()
         assert fast.trap is None and raw.trap is None
         assert fast.exit_code == raw.exit_code == 7
 
@@ -205,7 +205,7 @@ class TestProfitabilityGate:
             return s;
         }
         """
-        compiled = compile_program(source, softbound=FULL_SHADOW)
+        compiled = compile_source(source, profile=FULL_SHADOW)
         assert slow_blocks(compiled) == []
         result = compiled.run()
         assert result.exit_code == 1 and result.trap is None

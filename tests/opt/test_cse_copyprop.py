@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.frontend.typecheck import parse_and_check
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.ir import instructions as ins
 from repro.ir.irtypes import I32
 from repro.ir.values import Const, Register
@@ -43,8 +43,8 @@ class TestCopyProp:
     def test_redefinition_kills_copy(self):
         # y = x; x = 9; return y  — y's use must NOT become the new x.
         func_src = "int f(int x) { int y = x; x = 9; return y; }"
-        compiled_result = compile_and_run(
-            f"{func_src} int main(void) {{ return f(4); }}")
+        compiled_result = compile_source(
+            f"{func_src} int main(void) {{ return f(4); }}").run()
         assert compiled_result.exit_code == 4
 
     def test_constant_copies_propagate(self):
@@ -84,7 +84,7 @@ class TestCse:
         }
         int main(void) { return f(10); }
         """
-        assert compile_and_run(source).exit_code == 32
+        assert compile_source(source).run().exit_code == 32
 
     def test_gep_with_different_extents_not_merged(self):
         # Two geps with equal base/offset but different field extents
@@ -129,9 +129,9 @@ class TestPipelineEffect:
             return t;
         }
         """
-        raw = compile_program(source, softbound=replace(
+        raw = compile_source(source, profile=replace(
             FULL_SHADOW, optimize_checks=False))
-        cleaned = compile_program(source, softbound=FULL_SHADOW)
+        cleaned = compile_source(source, profile=FULL_SHADOW)
         raw_result, cleaned_result = raw.run(), cleaned.run()
         assert raw_result.exit_code == cleaned_result.exit_code == 120
         assert cleaned_result.stats.cost <= raw_result.stats.cost
@@ -141,8 +141,8 @@ class TestPipelineEffect:
               suppress_health_check=[HealthCheck.too_slow])
     def test_property_new_passes_preserve_semantics(self, seed):
         source = generate(seed).source
-        with_opt = compile_and_run(source, optimize=True)
-        without = compile_and_run(source, optimize=False)
+        with_opt = compile_source(source, optimize=True).run()
+        without = compile_source(source, optimize=False).run()
         assert with_opt.exit_code == without.exit_code
         assert with_opt.output == without.output
         assert with_opt.trap is None and without.trap is None

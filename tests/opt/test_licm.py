@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW
 
 RAW = replace(FULL_SHADOW, optimize_checks=False)
@@ -10,7 +10,7 @@ NO_LOOP = replace(FULL_SHADOW, loop_optimize=False)
 
 
 def run_checks(source, config, input_data=b""):
-    result = compile_and_run(source, softbound=config, input_data=input_data)
+    result = compile_source(source, profile=config).run(input_data=input_data)
     return result
 
 
@@ -44,7 +44,7 @@ class TestHeaderCheckHoisting:
         assert raw.trap is None and fast.trap is None
 
     def test_pass_stats_report_hoists(self):
-        compiled = compile_program(self.SOURCE, softbound=FULL_SHADOW)
+        compiled = compile_source(self.SOURCE, profile=FULL_SHADOW)
         assert compiled.check_opt_stats is not None
         assert compiled.check_opt_stats.hoisted_checks >= 1
 
@@ -62,8 +62,8 @@ class TestTrapPreservation:
             return 0;
         }
         """
-        raw = compile_and_run(source, softbound=RAW)
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
+        raw = compile_source(source, profile=RAW).run()
+        fast = compile_source(source, profile=FULL_SHADOW).run()
         assert raw.trap is not None and fast.trap is not None
         assert raw.trap.kind == fast.trap.kind
         assert raw.trap.address == fast.trap.address
@@ -81,8 +81,8 @@ class TestTrapPreservation:
             return *p;
         }
         """
-        raw = compile_and_run(source, softbound=RAW)
-        fast = compile_and_run(source, softbound=FULL_SHADOW)
+        raw = compile_source(source, profile=RAW).run()
+        fast = compile_source(source, profile=FULL_SHADOW).run()
         assert raw.trap is None and fast.trap is None
         assert raw.exit_code == fast.exit_code == 99
 

@@ -6,7 +6,7 @@ temporal check must still catch every stale access (the equivalence
 suites cover the full corpora; here the shapes are targeted).
 """
 
-from repro.harness.driver import compile_and_run, compile_program
+from repro.api import compile_source
 from repro.softbound.config import TEMPORAL_SHADOW
 from repro.vm.errors import TrapKind
 
@@ -66,7 +66,7 @@ int main(void) {
 
 
 def _stats(source):
-    compiled = compile_program(source, softbound=TEMPORAL_SHADOW)
+    compiled = compile_source(source, profile=TEMPORAL_SHADOW)
     return compiled, compiled.check_opt_stats
 
 
@@ -130,8 +130,8 @@ def test_optimized_equals_unoptimized_on_attacks():
 
     unopt = replace(TEMPORAL_SHADOW, optimize_checks=False)
     for attack in all_temporal_attacks():
-        optimized = compile_and_run(attack.source, softbound=TEMPORAL_SHADOW)
-        reference = compile_and_run(attack.source, softbound=unopt)
+        optimized = compile_source(attack.source, profile=TEMPORAL_SHADOW).run()
+        reference = compile_source(attack.source, profile=unopt).run()
         assert (optimized.trap is None) == (reference.trap is None), attack.name
         if optimized.trap is not None:
             assert optimized.trap.kind == reference.trap.kind, attack.name

@@ -6,6 +6,7 @@ import concurrent.futures
 import json
 import os
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -243,6 +244,50 @@ class TestDaemonEndToEnd:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "negative" in json.loads(body)["error"]
+
+    def _raw(self, daemon, request, shutdown=True):
+        with socket.create_connection(("127.0.0.1", daemon.port),
+                                      timeout=30) as conn:
+            conn.sendall(request)
+            if shutdown:
+                conn.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        return head, json.loads(body)
+
+    def test_too_many_headers_is_431(self, daemon):
+        from repro.serve.server import MAX_HEADERS
+
+        filler = b"".join(b"X-Filler-%d: x\r\n" % i
+                          for i in range(MAX_HEADERS + 1))
+        head, body = self._raw(
+            daemon, b"GET /healthz HTTP/1.1\r\n" + filler + b"\r\n")
+        assert head.startswith(b"HTTP/1.1 431 ")
+        assert str(MAX_HEADERS) in body["error"]
+        # Exactly the limit is still a request.
+        filler = b"".join(b"X-Filler-%d: x\r\n" % i
+                          for i in range(MAX_HEADERS - 1))
+        head, _ = self._raw(
+            daemon, b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + filler
+            + b"\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /heal",                                    # request line
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\n",        # headers
+        b"POST /run HTTP/1.1\r\nContent-Length: 50\r\n\r\n{",  # body
+    ], ids=["request-line", "headers", "body"])
+    def test_silent_client_is_408(self, daemon, monkeypatch, request_bytes):
+        import repro.serve.server as server
+
+        monkeypatch.setattr(server, "READ_TIMEOUT_SECONDS", 0.3)
+        start = time.monotonic()
+        head, body = self._raw(daemon, request_bytes, shutdown=False)
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert "0.3 s" in body["error"]
+        assert time.monotonic() - start < 20
 
     def test_unknown_path_404_and_bad_method_405(self, daemon):
         status, body, _ = self._post(daemon, "/nope", {"source": SOURCE})

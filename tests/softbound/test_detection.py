@@ -9,7 +9,7 @@ metadata disjointness property of Section 3.4.
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import (
     FULL_HASH,
     FULL_SHADOW,
@@ -35,7 +35,7 @@ class TestFullChecking:
             return 0;
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_heap_read_overflow_detected(self, config):
         src = r'''
@@ -44,7 +44,7 @@ class TestFullChecking:
             return a[4];
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_stack_overflow_detected(self, config):
         src = r'''
@@ -54,14 +54,14 @@ class TestFullChecking:
             return 0;
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_global_overflow_detected(self, config):
         src = r'''
         int g[4];
         int main(void) { g[4] = 1; return 0; }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_underflow_detected(self, config):
         src = r'''
@@ -71,7 +71,7 @@ class TestFullChecking:
             return 0;
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_sub_object_overflow_detected(self, config):
         """The paper's Section 2.1 example: object-based schemes miss
@@ -87,7 +87,7 @@ class TestFullChecking:
             return 0;
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_whole_access_must_fit(self, config):
         """Section 3.1: the check includes the access size — reading an
@@ -100,7 +100,7 @@ class TestFullChecking:
             return *ip;
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_pointer_from_integer_has_null_bounds(self, config):
         src = r'''
@@ -110,7 +110,7 @@ class TestFullChecking:
             return *p;
         }
         '''
-        assert detected(compile_and_run(src, softbound=config))
+        assert detected(compile_source(src, profile=config).run())
 
     def test_benign_program_unaffected(self, config):
         src = r'''
@@ -122,7 +122,7 @@ class TestFullChecking:
             return total;
         }
         '''
-        result = compile_and_run(src, softbound=config)
+        result = compile_source(src, profile=config).run()
         assert result.trap is None
         assert result.exit_code == 45
 
@@ -137,7 +137,7 @@ class TestFullChecking:
             return (int)(end - a) + (wild != a);
         }
         '''
-        result = compile_and_run(src, softbound=config)
+        result = compile_source(src, profile=config).run()
         assert result.trap is None
         assert result.exit_code == 5
 
@@ -153,7 +153,7 @@ class TestFullChecking:
             return bits != 0 && low >= 0;
         }
         '''
-        result = compile_and_run(src, softbound=config)
+        result = compile_source(src, profile=config).run()
         assert result.trap is None
 
     def test_interior_pointer_keeps_object_bounds(self, config):
@@ -166,7 +166,7 @@ class TestFullChecking:
             return a[2] * 10 + a[9];
         }
         '''
-        result = compile_and_run(src, softbound=config)
+        result = compile_source(src, profile=config).run()
         assert result.trap is None
         assert result.exit_code == 78
 
@@ -182,7 +182,7 @@ class TestFullChecking:
             return q[0];
         }
         '''
-        result = compile_and_run(src, softbound=config)
+        result = compile_source(src, profile=config).run()
         assert result.trap is None
 
 
@@ -195,7 +195,7 @@ class TestStoreOnlyMode:
             return 0;
         }
         '''
-        assert detected(compile_and_run(src, softbound=STORE_SHADOW))
+        assert detected(compile_source(src, profile=STORE_SHADOW).run())
 
     def test_read_overflow_missed(self):
         """The documented blind spot (Table 4: store-only misses the
@@ -206,7 +206,7 @@ class TestStoreOnlyMode:
             return a[4] & 1;   /* read past end */
         }
         '''
-        result = compile_and_run(src, softbound=STORE_SHADOW)
+        result = compile_source(src, profile=STORE_SHADOW).run()
         assert result.trap is None or result.trap.kind is not TrapKind.SPATIAL_VIOLATION
 
 
@@ -224,7 +224,7 @@ class TestMetadataIntegrity:
             return *p;          /* metadata says [&x,&x+4) but p=12345 */
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert detected(result)
 
     def test_setbound_escape_hatch(self):
@@ -240,7 +240,7 @@ class TestMetadataIntegrity:
             return p[7];
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is None
         assert result.exit_code == 3
 
@@ -268,7 +268,7 @@ class TestMetadataIntegrity:
             return 0;
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert detected(result)
         assert "store of 1 bytes" in result.trap.detail
 
@@ -286,7 +286,7 @@ class TestMetadataIntegrity:
             return p[7];
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW, optimize=False)
+        result = compile_source(src, profile=FULL_SHADOW, optimize=False).run()
         assert result.trap is None
         assert result.exit_code == 3
 
@@ -305,7 +305,7 @@ class TestMetadataIntegrity:
             return bits != 0 && *again == *ip;
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is None
         assert result.exit_code == 1
 
@@ -325,7 +325,7 @@ class TestMetadataIntegrity:
             return *stale;             /* must trap: metadata was cleared */
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert detected(result)
 
 
@@ -339,7 +339,7 @@ class TestFunctionPointerProtection:
             return fp();
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is not None
         assert result.trap.kind is TrapKind.FUNCTION_POINTER_VIOLATION
 
@@ -351,7 +351,7 @@ class TestFunctionPointerProtection:
             return fp();
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is None
         assert result.exit_code == 3
 
@@ -365,7 +365,7 @@ class TestFunctionPointerProtection:
             return table.get();
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is None
         assert result.exit_code == 5
 
@@ -383,7 +383,7 @@ class TestVarargProtection:
         }
         int main(void) { return take(1, 10); }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is not None
         assert result.trap.kind is TrapKind.VARARG_VIOLATION
 
@@ -401,7 +401,7 @@ class TestVarargProtection:
             return first_elem(1, a);
         }
         '''
-        result = compile_and_run(src, softbound=FULL_SHADOW)
+        result = compile_source(src, profile=FULL_SHADOW).run()
         assert result.trap is None
         assert result.exit_code == 42
 
@@ -419,7 +419,7 @@ class TestVarargProtection:
             return smash(1, a);
         }
         '''
-        assert detected(compile_and_run(src, softbound=FULL_SHADOW))
+        assert detected(compile_source(src, profile=FULL_SHADOW).run())
 
 
 class TestSilentCorruptionWithoutSoftBound:
@@ -435,7 +435,7 @@ class TestSilentCorruptionWithoutSoftBound:
             return 0;
         }
         '''
-        result = compile_and_run(src)
+        result = compile_source(src).run()
         assert result.trap is None or result.trap.kind is not TrapKind.SPATIAL_VIOLATION
 
     def test_sub_object_overflow_corrupts_sibling_field(self):
@@ -448,6 +448,6 @@ class TestSilentCorruptionWithoutSoftBound:
             return g.secret == 7;
         }
         '''
-        result = compile_and_run(src)
+        result = compile_source(src).run()
         assert result.trap is None
         assert result.exit_code == 0  # secret was corrupted

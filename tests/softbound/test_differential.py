@@ -10,7 +10,7 @@ zero violations — and the optimizer must never change behaviour.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import (
     FULL_HASH,
     FULL_SHADOW,
@@ -25,8 +25,8 @@ _SETTINGS = dict(max_examples=20, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
 
-def _observe(source, **kwargs):
-    result = compile_and_run(source, **kwargs)
+def _observe(source, softbound=None, optimize=True):
+    result = compile_source(source, softbound, optimize=optimize).run()
     assert result.trap is None, f"unexpected trap: {result.trap}"
     return result.exit_code, tuple(result.output)
 
@@ -113,7 +113,7 @@ class TestModeAgreement:
     @settings(**_SETTINGS)
     def test_full_checking_never_cheaper_than_store_only(self, seed):
         source = generate(seed).source
-        full = compile_and_run(source, softbound=FULL_SHADOW)
-        store = compile_and_run(source, softbound=STORE_SHADOW)
+        full = compile_source(source, profile=FULL_SHADOW).run()
+        store = compile_source(source, profile=STORE_SHADOW).run()
         assert full.stats.cost >= store.stats.cost
         assert full.stats.checks >= store.stats.checks

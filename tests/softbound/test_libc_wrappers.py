@@ -10,13 +10,13 @@ metadata propagation through pointer-returning wrappers.
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW, STORE_SHADOW
 from repro.vm.errors import TrapKind
 
 
 def run_full(source):
-    return compile_and_run(source, softbound=FULL_SHADOW)
+    return compile_source(source, profile=FULL_SHADOW).run()
 
 
 def spatial(result):
@@ -97,8 +97,8 @@ class TestStringWrappers:
         source = r'''
         int main(void) { char b[8]; gets(b); return 0; }
         '''
-        result = compile_and_run(source, softbound=FULL_SHADOW,
-                                 input_data=b"exceedingly-long-line\n")
+        result = compile_source(source, profile=FULL_SHADOW).run(
+            input_data=b"exceedingly-long-line\n")
         assert spatial(result)
         assert "gets" in result.trap.detail
 
@@ -106,8 +106,8 @@ class TestStringWrappers:
         source = r'''
         int main(void) { char b[8]; gets(b); return b[0]; }
         '''
-        result = compile_and_run(source, softbound=FULL_SHADOW,
-                                 input_data=b"ok\n")
+        result = compile_source(source, profile=FULL_SHADOW).run(
+            input_data=b"ok\n")
         assert result.trap is None
         assert result.exit_code == ord("o")
 
@@ -225,9 +225,9 @@ class TestFormattedOutput:
 
 class TestStoreOnlyMode:
     def test_store_only_still_checks_write_wrappers(self):
-        result = compile_and_run(
+        result = compile_source(
             'int main(void) { char b[4]; strcpy(b, "overflow!"); return 0; }',
-            softbound=STORE_SHADOW)
+            profile=STORE_SHADOW).run()
         assert spatial(result)
 
     def test_wrapper_checks_cost_once_per_call(self):

@@ -170,7 +170,7 @@ def test_shadow_store_of_null_bounds_still_counts_as_entry():
 
 
 def test_shadow_metadata_equivalent_across_engines():
-    from repro.harness.driver import compile_program
+    from repro.api import compile_source
     from repro.softbound.config import SoftBoundConfig
 
     source = r'''
@@ -190,7 +190,7 @@ def test_shadow_metadata_equivalent_across_engines():
         return total % 256;
     }
     '''
-    compiled = compile_program(source, softbound=SoftBoundConfig())
+    compiled = compile_source(source, profile=SoftBoundConfig())
     results = {}
     for engine in ("interp", "compiled"):
         machine = compiled.instantiate(engine=engine)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness.driver import compile_program
+from repro.api import compile_source
 from repro.softbound.config import (
     CheckMode,
     FULL_SHADOW,
@@ -25,8 +25,8 @@ def opcodes(module, name):
 def test_functions_are_renamed_with_sb_prefix():
     """Paper Section 3.3: 'the function name is appended with a unique
     identifier, specifying this function has been transformed'."""
-    compiled = compile_program("int f(int x) { return x; } int main(void) { return f(1); }",
-                               softbound=FULL_SHADOW)
+    compiled = compile_source("int f(int x) { return x; } int main(void) { return f(1); }",
+                               profile=FULL_SHADOW)
     assert "_sb_f" in compiled.module.functions
     assert "_sb_main" in compiled.module.functions
     assert "f" not in compiled.module.functions
@@ -35,7 +35,7 @@ def test_functions_are_renamed_with_sb_prefix():
 
 def test_pointer_params_get_base_and_bound_companions():
     src = "int deref(int *p, int n) { return p[n]; } int main(void) { int a[3]; return deref(a, 1); }"
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     func = compiled.module.functions["_sb_deref"]
     # one pointer param -> exactly two extra params (base, bound)
     assert len(func.sb_extra_params) == 2
@@ -44,8 +44,8 @@ def test_pointer_params_get_base_and_bound_companions():
 
 
 def test_non_pointer_function_gets_no_extra_params():
-    compiled = compile_program("int f(int x) { return x + 1; } int main(void) { return f(1); }",
-                               softbound=FULL_SHADOW)
+    compiled = compile_source("int f(int x) { return x + 1; } int main(void) { return f(1); }",
+                               profile=FULL_SHADOW)
     assert compiled.module.functions["_sb_f"].sb_extra_params == []
 
 
@@ -55,7 +55,7 @@ def test_full_mode_checks_loads_and_stores():
     # dominated by the identical store check.)
     src = "int main(void) { int a[4]; a[1] = 5; return a[1]; }"
     config = replace(FULL_SHADOW, optimize_checks=False)
-    compiled = compile_program(src, softbound=config)
+    compiled = compile_source(src, profile=config)
     checks = [i for i in instructions_of(compiled.module, "_sb_main") if i.opcode == "sb_check"]
     kinds = {c.access_kind for c in checks}
     assert "store" in kinds and "load" in kinds
@@ -66,8 +66,8 @@ def test_check_optimization_removes_dominated_load_check():
     instrumented code removes checks made redundant by canonicalization
     (here, the load of a[1] is covered by the store check of a[1])."""
     src = "int main(void) { int a[4]; a[1] = 5; return a[1]; }"
-    raw = compile_program(src, softbound=replace(FULL_SHADOW, optimize_checks=False))
-    cleaned = compile_program(src, softbound=FULL_SHADOW)
+    raw = compile_source(src, profile=replace(FULL_SHADOW, optimize_checks=False))
+    cleaned = compile_source(src, profile=FULL_SHADOW)
 
     def count_checks(compiled):
         return sum(1 for i in instructions_of(compiled.module, "_sb_main")
@@ -81,7 +81,7 @@ def test_store_only_mode_checks_only_stores():
     """Section 6.3: store-only 'fully propagates all metadata, but
     inserts bounds checks only for memory writes'."""
     src = "int main(void) { int a[4]; a[1] = 5; return a[1]; }"
-    compiled = compile_program(src, softbound=STORE_SHADOW)
+    compiled = compile_source(src, profile=STORE_SHADOW)
     checks = [i for i in instructions_of(compiled.module, "_sb_main")
               if i.opcode == "sb_check" and not i.is_fnptr_check]
     assert checks, "store-only mode must still check stores"
@@ -93,7 +93,7 @@ def test_store_only_still_propagates_metadata():
     int *identity(int *p) { return p; }
     int main(void) { int x = 3; int *p = identity(&x); return *p; }
     '''
-    compiled = compile_program(src, softbound=STORE_SHADOW)
+    compiled = compile_source(src, profile=STORE_SHADOW)
     ops = opcodes(compiled.module, "_sb_main")
     # Metadata table traffic still present even though loads unchecked.
     assert compiled.module.functions["_sb_identity"].sb_extra_params
@@ -105,7 +105,7 @@ def test_pointer_load_followed_by_metadata_lookup():
     int **gpp;
     int main(void) { int *p = *gpp; return 0; }
     '''
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     instrs = instructions_of(compiled.module, "_sb_main")
     load_idx = [i for i, instr in enumerate(instrs)
                 if instr.opcode == "load" and instr.is_pointer_value]
@@ -119,7 +119,7 @@ def test_pointer_store_followed_by_metadata_update():
     int *slot;
     int main(void) { int x; slot = &x; return 0; }
     '''
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     instrs = instructions_of(compiled.module, "_sb_main")
     store_idx = [i for i, instr in enumerate(instrs)
                  if instr.opcode == "store" and instr.is_pointer_value]
@@ -132,7 +132,7 @@ def test_non_pointer_stores_have_no_metadata_update():
     """Section 3.2: 'loads and stores of non-pointer values are
     unaffected' (beyond the bounds check itself)."""
     src = "int g; int main(void) { g = 5; return g; }"
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     ops = opcodes(compiled.module, "_sb_main")
     assert "sb_meta_store" not in ops
     assert "sb_meta_load" not in ops
@@ -143,7 +143,7 @@ def test_indirect_call_gets_function_pointer_check():
     int f(void) { return 1; }
     int main(void) { int (*fp)(void) = f; return fp(); }
     '''
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     checks = [i for i in instructions_of(compiled.module, "_sb_main")
               if i.opcode == "sb_check" and i.is_fnptr_check]
     assert len(checks) == 1
@@ -151,7 +151,7 @@ def test_indirect_call_gets_function_pointer_check():
 
 def test_direct_call_has_no_function_pointer_check():
     src = "int f(void) { return 1; } int main(void) { return f(); }"
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     checks = [i for i in instructions_of(compiled.module, "_sb_main")
               if i.opcode == "sb_check" and i.is_fnptr_check]
     assert not checks
@@ -163,7 +163,7 @@ def test_call_sites_append_metadata_arguments():
     int take(int *p) { return *p; }
     int main(void) { int x = 1; return take(&x); }
     '''
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     calls = [i for i in instructions_of(compiled.module, "_sb_main")
              if i.opcode == "call" and i.callee == "take"]
     assert len(calls) == 1
@@ -176,7 +176,7 @@ def test_pointer_return_carries_metadata():
     int *passthrough(int *p) { return p; }
     int main(void) { int x; return *passthrough(&x); }
     '''
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     rets = [i for i in instructions_of(compiled.module, "_sb_passthrough")
             if i.opcode == "ret"]
     assert all(getattr(r, "sb_meta", None) is not None for r in rets)
@@ -191,9 +191,9 @@ def test_shrink_bounds_config_controls_field_geps():
     struct s g;
     int main(void) { char *p = g.buf; p[0] = 1; return p[0]; }
     '''
-    with_shrink = compile_program(src, softbound=FULL_SHADOW)
-    without = compile_program(
-        src, softbound=SoftBoundConfig(shrink_bounds=False))
+    with_shrink = compile_source(src, profile=FULL_SHADOW)
+    without = compile_source(
+        src, profile=SoftBoundConfig(shrink_bounds=False))
     def count_field_bound_geps(compiled):
         return sum(
             1 for i in instructions_of(compiled.module, "_sb_main")
@@ -211,8 +211,8 @@ def test_checkelim_removes_redundant_checks():
         return p[0];
     }
     '''
-    unopt = compile_program(src, softbound=SoftBoundConfig(optimize_checks=False))
-    opt = compile_program(src, softbound=FULL_SHADOW)
+    unopt = compile_source(src, profile=SoftBoundConfig(optimize_checks=False))
+    opt = compile_source(src, profile=FULL_SHADOW)
     def check_count(compiled):
         return sum(1 for i in instructions_of(compiled.module, "_sb_main")
                    if i.opcode == "sb_check")
@@ -220,7 +220,7 @@ def test_checkelim_removes_redundant_checks():
 
 
 def test_transform_is_idempotent_per_function():
-    compiled = compile_program("int main(void) { return 0; }", softbound=FULL_SHADOW)
+    compiled = compile_source("int main(void) { return 0; }", profile=FULL_SHADOW)
     from repro.softbound.transform import SoftBoundTransform
 
     before = list(compiled.module.functions)
@@ -245,5 +245,5 @@ def test_transformed_module_passes_verifier():
         return t;
     }
     '''
-    compiled = compile_program(src, softbound=FULL_SHADOW)
+    compiled = compile_source(src, profile=FULL_SHADOW)
     assert verify_module(compiled.module)

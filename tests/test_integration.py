@@ -3,7 +3,7 @@ every feature, plus differential protected-vs-unprotected equivalence."""
 
 import pytest
 
-from repro import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import FIGURE2_CONFIGS, FULL_SHADOW
 
 KITCHEN_SINK = r'''
@@ -62,15 +62,15 @@ int main(void) {
 
 
 def test_kitchen_sink_runs_unprotected():
-    result = compile_and_run(KITCHEN_SINK)
+    result = compile_source(KITCHEN_SINK).run()
     assert result.trap is None
     assert "found=410 missing=-1" in result.output
 
 
 @pytest.mark.parametrize("config", FIGURE2_CONFIGS, ids=lambda c: c.label)
 def test_kitchen_sink_identical_under_every_config(config):
-    plain = compile_and_run(KITCHEN_SINK)
-    protected = compile_and_run(KITCHEN_SINK, softbound=config)
+    plain = compile_source(KITCHEN_SINK).run()
+    protected = compile_source(KITCHEN_SINK, profile=config).run()
     assert protected.trap is None
     assert protected.output == plain.output
     assert protected.exit_code == plain.exit_code
@@ -104,9 +104,9 @@ def test_protection_composes_with_every_feature_at_once():
         return 2;
     }
     '''
-    plain = compile_and_run(src)
+    plain = compile_source(src).run()
     assert plain.trap is None and plain.exit_code == 2  # silent corruption
-    protected = compile_and_run(src, softbound=FULL_SHADOW)
+    protected = compile_source(src, profile=FULL_SHADOW).run()
     assert protected.detected_violation
 
 
@@ -115,11 +115,11 @@ def test_deep_recursion_under_protection():
     int depth(int n) { return n == 0 ? 0 : 1 + depth(n - 1); }
     int main(void) { return depth(200) == 200; }
     '''
-    assert compile_and_run(src, softbound=FULL_SHADOW).exit_code == 1
+    assert compile_source(src, profile=FULL_SHADOW).run().exit_code == 1
 
 
 def test_metadata_stats_track_activity():
-    result = compile_and_run(KITCHEN_SINK, softbound=FULL_SHADOW)
+    result = compile_source(KITCHEN_SINK, profile=FULL_SHADOW).run()
     stats = result.stats
     assert stats.metadata_loads > 0
     assert stats.metadata_stores > 0

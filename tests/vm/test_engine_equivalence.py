@@ -10,7 +10,7 @@ source, message) and every cost-model counter.
 
 import pytest
 
-from repro.harness.driver import compile_program
+from repro.api import compile_source
 from repro.softbound.config import (
     CheckMode,
     MetadataScheme,
@@ -57,7 +57,7 @@ def result_signature(result):
 
 
 def assert_engines_agree(source, softbound=None, input_data=b""):
-    compiled = compile_program(source, softbound=softbound)
+    compiled = compile_source(source, profile=softbound)
     reference = result_signature(
         compiled.run(engine="interp", input_data=input_data))
     fast = result_signature(

@@ -9,7 +9,7 @@ trap's kind/detail/address and the new temporal_checks counter — under
 
 import pytest
 
-from repro.harness.driver import compile_program
+from repro.api import compile_source
 from repro.softbound.config import TEMPORAL_HASH, TEMPORAL_SHADOW
 from repro.workloads.temporal_attacks import TEMPORAL_ATTACKS
 from repro.workloads.programs import WORKLOADS
@@ -51,7 +51,7 @@ def result_signature(result):
 
 
 def assert_engines_agree(source, softbound):
-    compiled = compile_program(source, softbound=softbound)
+    compiled = compile_source(source, profile=softbound)
     reference = result_signature(compiled.run(engine="interp"))
     fast = result_signature(compiled.run(engine="compiled"))
     assert reference == fast

@@ -3,13 +3,13 @@ classified the way the detection experiments rely on."""
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import FULL_SHADOW
 from repro.vm.errors import ATTACK_EXIT_CODE, ExecutionResult, Trap, TrapKind
 
 
 def kind_of(source, **kwargs):
-    result = compile_and_run(source, **kwargs)
+    result = compile_source(source).run(**kwargs)
     return result.trap.kind if result.trap else None
 
 
@@ -37,14 +37,14 @@ class TestTrapKindsAreReachable:
         assert kind_of(source) is TrapKind.OUT_OF_MEMORY
 
     def test_resource_limit(self):
-        result = compile_and_run("int main(void){ while (1) {} return 0; }",
-                                 max_instructions=10_000)
+        result = compile_source("int main(void){ while (1) {} return 0; }").run(
+            max_instructions=10_000)
         assert result.trap.kind is TrapKind.RESOURCE_LIMIT
 
     def test_spatial_violation_source_is_softbound(self):
-        result = compile_and_run(
+        result = compile_source(
             "int main(void){ int a[2]; a[5] = 1; return 0; }",
-            softbound=FULL_SHADOW)
+            profile=FULL_SHADOW).run()
         assert result.trap.kind is TrapKind.SPATIAL_VIOLATION
         assert result.trap.source == "softbound"
 

@@ -8,7 +8,7 @@ every *write* bug and intentionally ignores pure read overflows
 
 import pytest
 
-from repro.harness.driver import compile_and_run
+from repro.api import compile_source
 from repro.softbound.config import FULL_HASH, FULL_SHADOW, STORE_SHADOW
 from repro.workloads.corpus import CORPUS, all_patterns, patterns_by_access
 
@@ -16,8 +16,8 @@ INPUTS = {"unchecked_index_from_input": b"16\n"}
 
 
 def run_pattern(pattern, softbound=None):
-    return compile_and_run(pattern.source, softbound=softbound,
-                           input_data=INPUTS.get(pattern.name, b""))
+    return compile_source(pattern.source, profile=softbound).run(
+        input_data=INPUTS.get(pattern.name, b""))
 
 
 class TestCorpusShape:
